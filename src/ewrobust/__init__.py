@@ -14,8 +14,7 @@ from .gadgets import (CnfFormula, GadgetNetwork, build_gadget, corner_source,
                       threshold_fraction)
 from .nn import (NetworkModel, NumericOverflowError, ShapeMismatchError, dump_model,
                  forward, indicative, load_model, predict, tensor)
-from .sampling import (BallSpec, SampleStream, sample_batch, sample_l1, sample_l2,
-                       sample_linf)
+from .sampling import BallSpec, SampleStream, sample_batch
 from .special import inv_norm_cdf, reg_lower_incomplete_gamma
 from .stats import (ErrorBudget, RunningCount, TestPlan, choose_epsilon_prime,
                     early_accept, early_reject, plan_test)
@@ -28,6 +27,6 @@ __all__ = [
     "count_satisfying", "decide", "decide_with_source", "dump_model", "early_accept",
     "early_reject", "evaluate", "forward", "indicative", "inv_norm_cdf", "load_model",
     "parse_dimacs", "plan_test", "point_check", "predict",
-    "reg_lower_incomplete_gamma", "sample_batch", "sample_l1", "sample_l2",
-    "sample_linf", "tensor", "threshold_classifier", "threshold_fraction",
+    "reg_lower_incomplete_gamma", "sample_batch", "tensor", "threshold_classifier",
+    "threshold_fraction",
 ]

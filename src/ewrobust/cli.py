@@ -4,23 +4,27 @@ Subcommands: decide (one point, one radius), evaluate (max radius for one
 point), curve (fraction-SAT over a radius grid), radii (per-point max radii
 with class summaries), gadget (CNF to model file), sample (raw sampler dump).
 
-Exit codes: 0 success, 2 usage error, 3 runtime error.
+Exit codes: 0 success, 2 usage error, 3 runtime error.  Every flag value is
+checked before any work: by its argparse type, or when the run's one
+prototype query and test plan are built.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, sampling
-from .data import fmt, load_dataset, load_inputs, write_report
-from .decision import (SAT, CenterMisclassifiedError, RobustnessQuery,
-                       Verdict, decide, evaluate, point_check)
+from .data import fmt, load_dataset, load_inputs, load_labels, write_report
+from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
+                       decide, evaluate, point_check)
 from .gadgets import DimacsError, build_gadget, parse_dimacs
 from .nn import ModelError, dump_model, load_model, predict
 from .prng import derive_subseed
@@ -32,6 +36,31 @@ DEFAULT_BETA = 0.001
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _checked(convert, ok, what):
+    """argparse type: convert(text), which must satisfy ok."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+    return parse
+
+
+_INDEX = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_COUNT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+_RADIUS = _checked(float, lambda v: 0 <= v < math.inf, "a finite non-negative number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -59,15 +88,9 @@ def _parse_clamp(text: str) -> tuple[float, float]:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"bad --clamp {text!r}") from None
-    if lo >= hi:
+    if not lo < hi:
         raise UsageError(f"--clamp lower bound must be below upper, got {text!r}")
     return lo, hi
-
-
-def _parse_norm(text: str) -> str:
-    if text not in sampling.NORMS:
-        raise UsageError(f"--norm must be one of {'/'.join(sampling.NORMS)}, got {text!r}")
-    return text
 
 
 def _parse_grid(args) -> list[float]:
@@ -76,10 +99,11 @@ def _parse_grid(args) -> list[float]:
             lo, hi, step = (float(v) for v in args.radius_grid.split(":"))
         except ValueError:
             raise UsageError(f"bad --radius-grid {args.radius_grid!r}") from None
-        if step <= 0:
-            raise UsageError("--radius-grid step must be positive")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        grid = [lo + k * step for k in range(count)]
+        span = (hi - lo) / step if step > 0 else math.nan
+        if not math.isfinite(span):
+            raise UsageError(f"--radius-grid needs finite lo:hi:step with step > 0, "
+                             f"got {args.radius_grid!r}")
+        grid = [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
     elif args.radius is not None:
         try:
             grid = [float(v) for v in str(args.radius).split(",")]
@@ -89,8 +113,8 @@ def _parse_grid(args) -> list[float]:
         grid = []
     if not grid:
         raise UsageError("no radii given (use --radius or --radius-grid)")
-    if any(r < 0 for r in grid):
-        raise UsageError("radii must be non-negative")
+    if not all(0 <= r < math.inf for r in grid):
+        raise UsageError("radii must be finite and non-negative")
     return grid
 
 
@@ -113,7 +137,6 @@ def _load_center(args, model):
             raise UsageError(f"--index {args.index} outside dataset of {len(inputs)} rows")
         gold = None
         if args.labels is not None:
-            from .data import load_labels
             gold = int(load_labels(args.labels, len(inputs), model.num_labels)[args.index])
         return inputs[args.index], gold
     raise UsageError("give a center via --input or --dataset with --index")
@@ -128,17 +151,34 @@ def _resolve_omega(args, model, center, gold):
     return frozenset({int(predict(model, center[None])[0])})
 
 
-def _budget(args) -> ErrorBudget:
-    return ErrorBudget(args.alpha, args.beta)
+def _prototype(args, model, center, omega, radius=0.0):
+    """The run's query and test plan, built before any work; every point and
+    probe varies only center, omega, seed and radius.  A flag value the plan
+    or the query rejects is a usage error."""
+    try:
+        budget = ErrorBudget(args.alpha, args.beta)
+        plan = plan_test(args.eps, budget, args.eps_prime)
+        query = RobustnessQuery(
+            model=model, center=center, radius=radius, norm=args.norm,
+            epsilon=args.eps, omega=omega, budget=budget, seed=args.seed,
+            batch_size=args.batch, epsilon_prime=args.eps_prime,
+            clamp=_parse_clamp(args.clamp) if args.clamp else None)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return query, plan
 
 
-def _query(args, model, center, omega) -> RobustnessQuery:
-    return RobustnessQuery(
-        model=model, center=center, radius=getattr(args, "radius", 0.0) or 0.0,
-        norm=_parse_norm(args.norm), epsilon=args.eps, omega=omega,
-        budget=_budget(args), seed=args.seed, batch_size=args.batch,
-        epsilon_prime=args.eps_prime,
-        clamp=_parse_clamp(args.clamp) if args.clamp else None)
+def _load_sweep(args, command):
+    """Model, dataset, --omega override and prototype query of curve/radii."""
+    model = _load_model_file(args.model)
+    if args.dataset is None or args.labels is None or args.shape is None:
+        raise UsageError(f"{command} needs --dataset, --labels and --shape")
+    dataset = load_dataset(args.dataset, args.labels,
+                           _parse_shape(args.shape), model.num_labels)
+    omega = _parse_omega(args.omega) if args.omega else None
+    query, _ = _prototype(args, model, dataset.inputs[0],
+                          omega or {int(dataset.labels[0])})
+    return model, dataset, omega, query
 
 
 def _run_metadata(args, plan=None) -> list[str]:
@@ -152,33 +192,21 @@ def _run_metadata(args, plan=None) -> list[str]:
     return md
 
 
-def _stub_oracle(r_true: float, plan):
-    def oracle(radius: float) -> Verdict:
-        sat = radius <= r_true
-        return Verdict(SAT if sat else "UNSAT", 0, 0, plan,
-                       "early_accept" if sat else "early_reject")
-    return oracle
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_decide(args) -> int:
     model = _load_model_file(args.model)
     center, gold = _load_center(args, model)
     omega = _resolve_omega(args, model, center, gold)
-    if args.radius is None:
-        raise UsageError("--radius is required")
+    query, plan = _prototype(args, model, center, omega, args.radius)
     t0 = time.perf_counter()
     if args.radius == 0.0:
-        ok = point_check(model, center, omega)
-        print("SAT" if ok else "UNSAT", "(point check, r=0)")
-        decision = "SAT" if ok else "UNSAT"
-        successes = drawn = int(ok)
+        decision = SAT if point_check(model, center, omega) else UNSAT
+        print(decision, "(point check, r=0)")
+        successes = drawn = int(decision == SAT)
         plan = None
     else:
-        query = _query(args, model, center, omega)
         verdict = decide(query)
-        plan = verdict.plan
         decision, successes, drawn = verdict.decision, verdict.successes, verdict.samples_drawn
         print(f"{decision} successes={successes} drawn={drawn} "
               f"N={plan.N} c={fmt(plan.c)}")
@@ -199,14 +227,8 @@ def cmd_evaluate(args) -> int:
     model = _load_model_file(args.model)
     center, gold = _load_center(args, model)
     omega = _resolve_omega(args, model, center, gold)
-    query = _query(args, model, center, omega)
-    oracle = None
-    if args.stub_radius is not None:  # test hook: deterministic monotone oracle
-        plan = plan_test(args.eps, _budget(args), args.eps_prime)
-        oracle = _stub_oracle(float(args.stub_radius.split(",")[0]), plan)
-        if not point_check(model, center, omega):
-            raise CenterMisclassifiedError("center fails the point check")
-    result = evaluate(query, args.radius_max, args.precision, oracle=oracle)
+    query, _ = _prototype(args, model, center, omega)
+    result = evaluate(query, args.radius_max, args.precision)
     print(f"r_star={fmt(result.r_star)} probes={len(result.probes)}")
     for r, verdict in result.probes:
         print(f"  probe r={fmt(r)} -> {verdict.decision}")
@@ -219,28 +241,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _curve_point(model, dataset, args, omega_override, clamp, radius, ri, pi):
-    center = dataset.inputs[pi].ravel()
-    omega = omega_override or frozenset({int(dataset.labels[pi])})
-    seed = derive_subseed(derive_subseed(args.seed, ri), pi)
-    if radius == 0.0:
-        return point_check(model, dataset.inputs[pi], omega)
-    query = RobustnessQuery(
-        model=model, center=center, radius=radius, norm=_parse_norm(args.norm),
-        epsilon=args.eps, omega=omega, budget=_budget(args), seed=seed,
-        batch_size=args.batch, epsilon_prime=args.eps_prime, clamp=clamp)
-    return decide(query).decision == SAT
-
-
 def cmd_curve(args) -> int:
-    model = _load_model_file(args.model)
-    if args.dataset is None or args.labels is None or args.shape is None:
-        raise UsageError("curve needs --dataset, --labels and --shape")
-    dataset = load_dataset(args.dataset, args.labels,
-                           _parse_shape(args.shape), model.num_labels)
+    model, dataset, omega, prototype = _load_sweep(args, "curve")
     grid = _parse_grid(args)
-    omega_override = _parse_omega(args.omega) if args.omega else None
-    clamp = _parse_clamp(args.clamp) if args.clamp else None
 
     keep = list(range(len(dataset)))
     if args.correct_only:
@@ -249,56 +252,38 @@ def cmd_curve(args) -> int:
         if not keep:
             raise UsageError("--correct-only left no dataset points")
 
+    def point(ri, radius, pi):
+        point_omega = omega or frozenset({int(dataset.labels[pi])})
+        if radius == 0.0:
+            return point_check(model, dataset.inputs[pi], point_omega)
+        query = replace(prototype, center=dataset.inputs[pi], omega=point_omega,
+                        radius=radius, seed=derive_subseed(derive_subseed(args.seed, ri), pi))
+        return decide(query).decision == SAT
+
     rows = []
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         for ri, radius in enumerate(grid):
-            verdicts = list(pool.map(
-                lambda pi: _curve_point(model, dataset, args, omega_override,
-                                        clamp, radius, ri, pi), keep))
-            n_sat = sum(verdicts)
+            n_sat = sum(pool.map(lambda pi: point(ri, radius, pi), keep))
             rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
     write_report(args.out or sys.stdout, _run_metadata(args),
                  ["radius", "n_points", "n_sat", "fraction_sat"], rows)
     return 0
 
 
-def _radii_point(model, dataset, args, omega_override, clamp, stub_radii, pi):
-    center = dataset.inputs[pi].ravel()
-    gold = int(dataset.labels[pi])
-    omega = omega_override or frozenset({gold})
-    if not point_check(model, dataset.inputs[pi], omega):
-        return gold, None  # flagged, excluded from summaries
-    seed = derive_subseed(args.seed, pi)
-    query = RobustnessQuery(
-        model=model, center=center, radius=0.0, norm=_parse_norm(args.norm),
-        epsilon=args.eps, omega=omega, budget=_budget(args), seed=seed,
-        batch_size=args.batch, epsilon_prime=args.eps_prime, clamp=clamp)
-    oracle = None
-    if stub_radii is not None:
-        plan = plan_test(args.eps, _budget(args), args.eps_prime)
-        oracle = _stub_oracle(stub_radii[pi % len(stub_radii)], plan)
-    result = evaluate(query, args.radius_max, args.precision, oracle=oracle)
-    return gold, result.r_star
-
-
 def cmd_radii(args) -> int:
-    model = _load_model_file(args.model)
-    if args.dataset is None or args.labels is None or args.shape is None:
-        raise UsageError("radii needs --dataset, --labels and --shape")
-    if args.radius_max is None or args.precision is None:
-        raise UsageError("radii needs --radius-max and --precision")
-    dataset = load_dataset(args.dataset, args.labels,
-                           _parse_shape(args.shape), model.num_labels)
-    omega_override = _parse_omega(args.omega) if args.omega else None
-    clamp = _parse_clamp(args.clamp) if args.clamp else None
-    stub_radii = ([float(v) for v in args.stub_radius.split(",")]
-                  if args.stub_radius is not None else None)
+    model, dataset, omega, prototype = _load_sweep(args, "radii")
+
+    def point(pi):
+        gold = int(dataset.labels[pi])
+        point_omega = omega or frozenset({gold})
+        if not point_check(model, dataset.inputs[pi], point_omega):
+            return gold, None  # flagged, excluded from summaries
+        query = replace(prototype, center=dataset.inputs[pi], omega=point_omega,
+                        seed=derive_subseed(args.seed, pi))
+        return gold, evaluate(query, args.radius_max, args.precision).r_star
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(
-            lambda pi: _radii_point(model, dataset, args, omega_override,
-                                    clamp, stub_radii, pi),
-            range(len(dataset))))
+        results = list(pool.map(point, range(len(dataset))))
 
     rows = []
     by_class: dict[int, list[float]] = {}
@@ -337,9 +322,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    norm = _parse_norm(args.norm)
-    if args.count < 0:
-        raise UsageError("--count must be non-negative")
+    if args.start + args.count > 2**64:
+        raise UsageError("sample indices --start .. --start+--count-1 must stay below 2**64")
     shape = _parse_shape(args.shape)
     n = math.prod(shape)
     if args.input is not None:
@@ -350,13 +334,13 @@ def cmd_sample(args) -> int:
     header = ["index"] + [f"x{j}" for j in range(n)]
     rows = []
     if args.count > 0:
-        spec = sampling.BallSpec(center, args.radius, norm)
+        spec = sampling.BallSpec(center, args.radius, args.norm)
         stream = sampling.SampleStream(args.seed, radial=args.radial)
         batch = sampling.sample_batch(spec, stream, args.start, args.count, clamp=clamp)
         rows = [[i + args.start] + [float(v) for v in row]
                 for i, row in enumerate(batch)]
     metadata = [f"ewrobust {__version__}",
-                f"seed={args.seed} norm={norm} radius={args.radius} "
+                f"seed={args.seed} norm={args.norm} radius={args.radius} "
                 f"radial={args.radial} clamp={args.clamp or 'off'}"]
     write_report(args.out or sys.stdout, metadata, header, rows)
     return 0
@@ -364,37 +348,36 @@ def cmd_sample(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub, *, stats=True, workers=False):
-    sub.add_argument("--model", help="model file (JSON)")
+def _add_common(sub, *, workers=False):
+    sub.add_argument("--model", required=True, help="model file (JSON)")
     sub.add_argument("--dataset", help="inputs CSV, one flattened tensor per row")
     sub.add_argument("--labels", help="gold labels, one integer per line")
     sub.add_argument("--shape", help="tensor shape, e.g. 3,32,32")
     sub.add_argument("--input", help="single-point CSV (first row used)")
     sub.add_argument("--index", type=int, help="row index into --dataset")
     sub.add_argument("--omega", help="allowed labels, e.g. 1,9 (default: gold or predicted)")
-    sub.add_argument("--norm", default="inf", help="ball norm: 1, 2 or inf")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
+    sub.add_argument("--norm", default="inf", choices=sampling.NORMS, help="ball norm")
+    sub.add_argument("--seed", type=_INDEX, default=0, help="64-bit stream seed")
     sub.add_argument("--clamp", help="clip samples into lo,hi (changes the measure)")
     sub.add_argument("--out", help="CSV output path (default: stdout where applicable)")
-    if stats:
-        sub.add_argument("--eps", type=float, required=True,
-                         help="tolerated wrong-classification fraction in (0,1)")
-        sub.add_argument("--eps-prime", type=float, default=None,
-                         help="relaxed boundary in (0, eps); default eps-min(eps(1-eps),0.005)")
-        sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                         help="type I error bound")
-        sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                         help="type II error bound")
-        sub.add_argument("--batch", type=int, default=256, help="samples per batch")
-        sub.add_argument("--timings", action="store_true",
-                         help="include wall-time columns (breaks byte reproducibility)")
+    sub.add_argument("--eps", type=float, required=True,
+                     help="tolerated wrong-classification fraction in (0,1)")
+    sub.add_argument("--eps-prime", type=float, default=None,
+                     help="relaxed boundary in (0, eps); default eps-min(eps(1-eps),0.005)")
+    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                     help="type I error bound")
+    sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                     help="type II error bound")
+    sub.add_argument("--batch", type=_POSITIVE_INT, default=256, help="samples per batch")
+    sub.add_argument("--timings", action="store_true",
+                     help="include wall-time columns (breaks byte reproducibility)")
     if workers:
-        sub.add_argument("--workers", type=int, default=None,
+        sub.add_argument("--workers", type=_POSITIVE_INT, default=os.cpu_count() or 1,
                          help="parallel workers (default: CPU count); never changes results")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ewrobust",
         description="Statistical epsilon-weakened robustness decision and "
                     "evaluation for feed-forward classifiers.")
@@ -403,14 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decide", help="decide robustness at one radius")
     _add_common(p)
-    p.add_argument("--radius", type=float, help="perturbation radius")
+    p.add_argument("--radius", type=_RADIUS, required=True, help="perturbation radius")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("evaluate", help="maximum robust radius for one point")
     _add_common(p)
-    p.add_argument("--radius-max", type=float, required=True, help="search upper bound")
-    p.add_argument("--precision", type=float, required=True, help="bisection precision")
-    p.add_argument("--stub-radius", help=argparse.SUPPRESS)  # test hook
+    p.add_argument("--radius-max", type=_POSITIVE, required=True, help="search upper bound")
+    p.add_argument("--precision", type=_POSITIVE, required=True, help="bisection precision")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("curve", help="fraction-SAT over a radius grid")
@@ -423,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("radii", help="per-point maximum radii with class summaries")
     _add_common(p, workers=True)
-    p.add_argument("--radius-max", type=float, help="search upper bound")
-    p.add_argument("--precision", type=float, help="bisection precision")
-    p.add_argument("--stub-radius", help=argparse.SUPPRESS)  # test hook
+    p.add_argument("--radius-max", type=_POSITIVE, required=True, help="search upper bound")
+    p.add_argument("--precision", type=_POSITIVE, required=True, help="bisection precision")
     p.set_defaults(func=cmd_radii)
 
     p = subs.add_parser("gadget", help="compile DIMACS CNF into a gadget model file")
@@ -434,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gadget)
 
     p = subs.add_parser("sample", help="dump raw ball samples as CSV")
-    p.add_argument("--norm", required=True, help="ball norm: 1, 2 or inf")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--start", type=int, default=0, help="first sample index")
+    p.add_argument("--norm", required=True, choices=sampling.NORMS, help="ball norm")
+    p.add_argument("--radius", type=_RADIUS, required=True)
+    p.add_argument("--count", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_INDEX, default=0)
+    p.add_argument("--start", type=_INDEX, default=0, help="first sample index")
     p.add_argument("--shape", required=True, help="tensor shape, e.g. 784 or 3,32,32")
     p.add_argument("--input", help="center point CSV (default: origin)")
     p.add_argument("--clamp", help="clip samples into lo,hi")
@@ -451,17 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-        import os
-        args.workers = os.cpu_count() or 1
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, CenterMisclassifiedError, OSError, ValueError) as exc:
+    except (ModelError, CenterMisclassifiedError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

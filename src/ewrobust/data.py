@@ -9,6 +9,7 @@ below the metadata block (header plus data rows) is the reproducible body.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,17 @@ class DatasetSlice:
         return len(self.ids)
 
 
+def _load_rows(path: str, **loadtxt) -> np.ndarray:
+    with warnings.catch_warnings():  # an empty file is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, **loadtxt)
+    if rows.shape[0] == 0:
+        raise ValueError(f"{path}: no rows")
+    return rows
+
+
 def load_inputs(path: str, shape: tuple[int, ...]) -> np.ndarray:
-    rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    rows = _load_rows(path, delimiter=",", dtype=np.float64, ndmin=2)
     width = math.prod(shape)
     if rows.shape[1] != width:
         raise ValueError(f"{path}: rows have {rows.shape[1]} values, "
@@ -41,7 +51,7 @@ def load_inputs(path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_labels(path: str, count: int, num_labels: int) -> np.ndarray:
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    labels = _load_rows(path, dtype=np.int64, ndmin=1)
     if labels.shape[0] != count:
         raise ValueError(f"{path}: {labels.shape[0]} labels for {count} inputs")
     if labels.min() < 0 or labels.max() >= num_labels:

@@ -8,6 +8,7 @@ semantics of the full model+sampler pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -42,7 +43,6 @@ class RobustnessQuery:
     batch_size: int = 256
     epsilon_prime: float | None = None
     clamp: tuple[float, float] | None = None
-    radial: str = sampling.RADIAL_GAMMA
 
     def __post_init__(self):
         object.__setattr__(self, "center",
@@ -53,8 +53,8 @@ class RobustnessQuery:
         if any(l < 0 or l >= self.model.num_labels for l in self.omega):
             raise ValueError(f"omega {sorted(self.omega)} contains labels outside "
                              f"[0, {self.model.num_labels})")
-        if self.radius < 0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
@@ -103,7 +103,7 @@ def decide_with_source(plan: TestPlan, source: IndicativeSource,
 def model_source(query: RobustnessQuery) -> IndicativeSource:
     """0/1 source that samples the query's ball and runs the classifier."""
     spec = sampling.BallSpec(query.center, query.radius, query.norm)
-    stream = sampling.SampleStream(query.seed, radial=query.radial)
+    stream = sampling.SampleStream(query.seed)
 
     def source(indices: np.ndarray) -> np.ndarray:
         start = int(indices[0])
@@ -139,10 +139,11 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
     probe-specific sub-seed so the whole evaluation is reproducible.
     query.radius is ignored.
     """
-    if radius_max <= 0:
+    if not radius_max > 0:
         raise ValueError(f"radius_max must be positive, got {radius_max}")
-    if precision <= 0:
+    if not precision > 0:
         raise ValueError(f"precision must be positive, got {precision}")
+    probes: list[tuple[float, Verdict]] = []
     if oracle is None:
         if not point_check(query.model, query.center, query.omega):
             raise CenterMisclassifiedError(
@@ -150,15 +151,12 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
                 "not apply to misclassified points -- run decide() at fixed, "
                 "pre-chosen radii instead")
 
-        def oracle(radius: float, _probe=[0]) -> Verdict:
-            sub = replace(query, radius=radius,
-                          seed=derive_subseed(query.seed, _probe[0]))
-            _probe[0] += 1
-            return decide(sub)
+        def oracle(radius: float) -> Verdict:
+            return decide(replace(query, radius=radius,
+                                  seed=derive_subseed(query.seed, len(probes))))
 
     r_min = 0.0
     r_max = radius_max
-    probes: list[tuple[float, Verdict]] = []
     while r_max - r_min > precision:
         r = (r_min + r_max) / 2.0
         verdict = oracle(r)

@@ -22,6 +22,7 @@ SUBSTREAM_REDRAW = 1
 _SUBSTREAM_SUBSEED = 0xFFFFFFFF
 
 _INV_2_53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - _INV_2_53  # largest double below 1
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -74,6 +75,9 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
     out = np.empty((indices.size, 2 * n_blocks), dtype=np.float64)
     out[:, 0::2] = ((d0 >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
     out[:, 1::2] = ((d1 >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    # from k = 2**52 on, k + 1/2 rounds half to even, so the top 53-bit code
+    # k = 2**53 - 1 gives exactly 1.0; only that value moves, to just below 1
+    np.minimum(out, _BELOW_ONE, out=out)
     return out[:, :n_draws]
 
 

@@ -10,6 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class BallSpec:
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
         object.__setattr__(self, "center", center)
-        if self.radius < 0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
 
@@ -79,7 +80,10 @@ def _l2_batch(spec: BallSpec, stream: SampleStream, indices: np.ndarray) -> np.n
     u = prng.uniforms(stream.seed, indices, n + extra)
     y = inv_norm_cdf_array(u[:, :n])
     s = np.einsum("ij,ij->i", y, y)
-    zero = s == 0.0  # cannot occur with open-interval uniforms; guard anyway
+    # s == 0 only when all n uniforms are exactly 0.5 (code k = 2**52, where
+    # k + 1/2 rounds to k), so every Gaussian coordinate is 0: probability
+    # 2**(-53 n) per sample
+    zero = s == 0.0
     if zero.any():
         u2 = prng.uniforms(stream.seed, indices[zero], n + extra,
                            substream=prng.SUBSTREAM_REDRAW)
@@ -110,37 +114,15 @@ def sample_batch(spec: BallSpec, stream: SampleStream, start: int, count: int,
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    try:
-        batcher = _BATCHERS[spec.norm]
-    except KeyError:
-        raise ValueError(f"unsupported norm {spec.norm!r}") from None
     indices = np.arange(start, start + count, dtype=np.uint64)
     if spec.radius == 0.0:
         out = np.tile(spec.center, (count, 1))
     else:
-        out = batcher(spec, stream, indices)
+        out = _BATCHERS[spec.norm](spec, stream, indices)
     if clamp is not None:
         lo, hi = clamp
         np.clip(out, lo, hi, out=out)
     return out
-
-
-def _sample_one(norm: str, spec: BallSpec, stream: SampleStream, i: int) -> np.ndarray:
-    if spec.norm != norm:
-        raise ValueError(f"spec norm is {spec.norm!r}, expected {norm!r}")
-    return sample_batch(spec, stream, i, 1)[0]
-
-
-def sample_l1(spec: BallSpec, stream: SampleStream, i: int) -> np.ndarray:
-    return _sample_one(L1, spec, stream, i)
-
-
-def sample_l2(spec: BallSpec, stream: SampleStream, i: int) -> np.ndarray:
-    return _sample_one(L2, spec, stream, i)
-
-
-def sample_linf(spec: BallSpec, stream: SampleStream, i: int) -> np.ndarray:
-    return _sample_one(LINF, spec, stream, i)
 
 
 def ball_norm(spec: BallSpec, points: np.ndarray) -> np.ndarray:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from ewrobust import decision
 from ewrobust.cli import main
+from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
 from ewrobust.nn import dump_model, load_model, predict
+from ewrobust.stats import plan_test
 
 
 @pytest.fixture
@@ -33,6 +36,18 @@ def dataset_files(tmp_path):
     np.savetxt(inp, inputs, delimiter=",")
     lab.write_text("".join(f"{l}\n" for l in labels))
     return str(inp), str(lab)
+
+
+def fake_decide(monkeypatch, r_true):
+    """Replace decision.decide by a noiseless oracle: SAT iff the probe radius
+    is at most r_true(center).  Keyed on the center, not on call order, since
+    radii runs its points in threads."""
+    def decide(query):
+        plan = plan_test(query.epsilon, query.budget, query.epsilon_prime)
+        sat = query.radius <= r_true(query.center)
+        return Verdict(SAT if sat else UNSAT, 0, 0, plan,
+                       "early_accept" if sat else "early_reject")
+    monkeypatch.setattr(decision, "decide", decide)
 
 
 def body_lines(path):
@@ -101,10 +116,11 @@ class TestDecide:
 
 
 class TestEvaluate:
-    def test_stub_oracle_converges(self, threshold_model_file, center_file, capsys):
+    def test_stub_oracle_converges(self, threshold_model_file, center_file, capsys,
+                                   monkeypatch):
+        fake_decide(monkeypatch, lambda center: 5.0)
         rc = main(["evaluate", "--model", threshold_model_file, "--input", center_file,
-                   "--radius-max", "16", "--precision", "0.01", "--eps", "0.2",
-                   "--stub-radius", "5.0"])
+                   "--radius-max", "16", "--precision", "0.01", "--eps", "0.2"])
         assert rc == 0
         out = capsys.readouterr().out
         r_star = float(out.splitlines()[0].split()[0].split("=")[1])
@@ -186,8 +202,10 @@ class TestCurve:
 
 
 class TestRadii:
-    def test_stub_radii_summary(self, tmp_path):
-        # constant-label-0 model; stub alternates r* = 3 and 7 -> mean 5, std 2
+    def test_stub_radii_summary(self, tmp_path, monkeypatch):
+        # constant-label-0 model; point k has x0 = k and r* = 3 (k even) or 7
+        # (k odd) -> mean 5, std 2
+        fake_decide(monkeypatch, lambda center: 3.0 if center[0] % 2 == 0 else 7.0)
         model = tmp_path / "model.json"
         doc = {"input_shape": [2], "num_labels": 2,
                "layers": [{"kind": "dense", "weight": [[0, 0], [0, 0]],
@@ -195,13 +213,13 @@ class TestRadii:
         model.write_text(json.dumps(doc))
         inp = tmp_path / "inputs.csv"
         lab = tmp_path / "labels.txt"
-        inp.write_text("".join("0.0,0.0\n" for _ in range(6)))
+        inp.write_text("".join(f"{k}.0,0.0\n" for k in range(6)))
         lab.write_text("0\n" * 6)
         out = tmp_path / "radii.csv"
         rc = main(["radii", "--model", str(model), "--dataset", str(inp),
                    "--labels", str(lab), "--shape", "2", "--radius-max", "16",
                    "--precision", "1e-9", "--eps", "0.2", "--out", str(out),
-                   "--stub-radius", "3,7", "--workers", "2"])
+                   "--workers", "2"])
         assert rc == 0
         body = body_lines(out)
         summary = [l for l in body if l.startswith("class_summary")]

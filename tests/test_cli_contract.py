@@ -1,0 +1,205 @@
+"""The CLI's exit-code contract: every argv ends in 0 (success), 2 (usage
+error) or 3 (runtime error), with no traceback and no warning.
+
+The fuzz test starts from one valid argv per subcommand and applies a few
+mutations: a flag dropped, or set to a value from a small list of valid,
+invalid and non-finite candidates.  Worker counts, sample counts, grids and
+datasets stay tiny, so no example starts many threads or allocates much.
+"""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ewrobust.cli import main
+from ewrobust.gadgets import threshold_classifier
+from ewrobust.nn import dump_model
+
+DROP = object()    # mutation: leave the flag out
+SWITCH = object()  # a flag that takes no value
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    paths = {
+        "model": dump_model(threshold_classifier(2, 0, 0.5)),  # label 0 iff x0 <= 0.5
+        "center": "0.0,0.0\n",
+        "inputs": "0.0,0.0\n0.2,-0.3\n0.9,0.1\n-0.4,0.6\n",
+        "labels": "0\n0\n1\n0\n",
+        "cnf": "p cnf 2 1\n1 2 0\n",
+        "bad_cnf": "p cnf 2 1\n1 2\n",
+        "empty": "",
+    }
+    for name, text in paths.items():
+        (root / name).write_text(text)
+    out = {name: str(root / name) for name in paths}
+    out["missing"] = str(root / "missing")
+    out["dir"] = str(root)
+    out["out"] = str(root / "report.csv")
+    return out
+
+
+def run(argv):
+    """(exit code, stderr) of one in-process CLI call; a warning fails it."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def values(f):
+    """Candidate values of every flag: valid, invalid and non-finite ones."""
+    return {
+        "--model": (f["model"], f["empty"], f["missing"], f["cnf"]),
+        "--input": (f["center"], f["inputs"], f["empty"], f["missing"]),
+        "--dataset": (f["inputs"], f["center"], f["empty"], f["missing"]),
+        "--labels": (f["labels"], f["empty"], f["inputs"], f["missing"]),
+        "--cnf": (f["cnf"], f["bad_cnf"], f["empty"], f["missing"], f["model"]),
+        "--out": (f["out"], f["dir"]),
+        "--shape": ("2", "1,2", "2,1", "3", "0", "-1", "x", ""),
+        "--index": ("0", "3", "-1", "4", "x"),
+        "--omega": ("0", "1", "0,1", "2", "-1", "x", ""),
+        "--norm": ("inf", "1", "2", "3", "x"),
+        "--seed": ("0", "7", "-1", str(2**64 - 1), str(2**64), "1.5", "x"),
+        "--clamp": ("-1,1", "0,1", "1,0", "nan,1", "-inf,inf", "1", "x"),
+        "--eps": ("0.2", "0.4", "0", "1", "-0.5", "nan", "inf", "x"),
+        "--eps-prime": ("0.1", "0.3", "0", "0.5", "nan", "x"),
+        "--alpha": ("0.05", "0.2", "0", "0.5", "nan", "x"),
+        "--beta": ("0.05", "0.2", "0", "0.5", "-1", "nan", "x"),
+        "--batch": ("7", "256", "0", "-3", "1.5", "x"),
+        "--workers": ("1", "2", "0", "-1", "x"),
+        "--timings": (SWITCH,),
+        "--correct-only": (SWITCH,),
+        "--radius": ("0", "0.2", "1e-3", "-1", "nan", "inf", "1e999", "x", ""),
+        "--radius-list": ("0.1,0.3", "0", "0.2,-1", "nan", "inf", "x", ""),
+        "--radius-grid": ("0:0.4:0.2", "0:inf:1", "0:nan:1", "inf:1:1", "1:0:0.5",
+                          "0:1:0", "0:1:-1", "0:1e300:1e-300", "a:b:c", "0:1"),
+        "--radius-max": ("1", "4", "0", "-1", "nan", "inf", "x"),
+        "--precision": ("0.5", "0.25", "0", "-1", "nan", "inf", "x"),
+        "--count": ("0", "3", "-1", "1.5", "x"),
+        "--start": ("0", "5", "-1", str(2**64 - 2), str(2**64), "x"),
+        "--radial": ("gamma", "uniform", "beta"),
+        "--bogus": ("1",),
+    }
+
+
+COMMON = ["--model", "--dataset", "--labels", "--shape", "--input", "--index", "--omega",
+          "--norm", "--seed", "--clamp", "--out", "--bogus"]
+STATS = ["--eps", "--eps-prime", "--alpha", "--beta", "--batch", "--timings"]
+OPTIONS = {
+    "decide": COMMON + STATS + ["--radius"],
+    "evaluate": COMMON + STATS + ["--radius-max", "--precision"],
+    "curve": COMMON + STATS + ["--workers", "--radius-list", "--radius-grid",
+                               "--correct-only"],
+    "radii": COMMON + STATS + ["--workers", "--radius-max", "--precision"],
+    "gadget": ["--cnf", "--out", "--bogus"],
+    "sample": ["--norm", "--radius", "--count", "--seed", "--start", "--shape", "--input",
+               "--clamp", "--radial", "--out", "--bogus"],
+}
+
+
+def base(f, command):
+    """A valid argv of each subcommand, as a flag -> value dict."""
+    point = {"--model": f["model"], "--input": f["center"]}
+    sweep = {"--model": f["model"], "--dataset": f["inputs"], "--labels": f["labels"],
+             "--shape": "2", "--workers": "2"}
+    stats = {"--eps": "0.2", "--eps-prime": "0.1", "--out": f["out"]}
+    return {
+        "decide": {**point, **stats, "--radius": "0.2"},
+        "evaluate": {**point, **stats, "--radius-max": "1", "--precision": "0.25"},
+        "curve": {**sweep, **stats, "--radius-list": "0.1,0.3"},
+        "radii": {**sweep, **stats, "--radius-max": "1", "--precision": "0.25"},
+        "gadget": {"--cnf": f["cnf"], "--out": f["out"]},
+        "sample": {"--norm": "2", "--radius": "1", "--count": "3", "--shape": "2",
+                   "--out": f["out"]},
+    }[command]
+
+
+def to_argv(command, flags):
+    argv = [command]
+    for flag, value in flags.items():
+        flag = flag.removesuffix("-list")  # curve's --radius takes a list
+        if value is SWITCH:
+            argv.append(flag)
+        elif value is not DROP:
+            argv.append(f"{flag}={value}")  # also for values that start with "-"
+    return argv
+
+
+@st.composite
+def argvs(draw, f):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    flags = base(f, command)
+    candidates = values(f)
+    for flag in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4)):
+        flags[flag] = draw(st.sampled_from((DROP,) + candidates[flag]))
+    return to_argv(command, flags)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_base_argv_succeeds(files, command):
+    rc, err = run(to_argv(command, base(files, command)))
+    assert rc == 0, err
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_0_2_or_3(files, data):
+    argv = data.draw(argvs(files))
+    rc, err = run(argv)
+    assert rc in (0, 2, 3), (argv, rc, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+# one case per defect measured before the argument boundary existed
+USAGE_ERRORS = {
+    "seed -1": ["decide", "--seed", "-1"],
+    "seed 2**64": ["decide", "--seed", str(2**64)],
+    "radius nan": ["decide", "--radius", "nan"],
+    "radius inf": ["decide", "--radius", "inf"],
+    "eps nan": ["decide", "--eps", "nan"],
+    "alpha nan": ["decide", "--alpha", "nan"],
+    "batch 0": ["decide", "--batch", "0"],
+    "omega outside the model": ["decide", "--omega", "5"],
+    "clamp nan": ["decide", "--clamp", "nan,1"],
+    "precision 0": ["evaluate", "--precision", "0"],
+    "radius-max nan": ["evaluate", "--radius-max", "nan"],
+    "grid 0:inf:1": ["curve", "--radius-grid", "0:inf:1"],
+    "grid 0:nan:1": ["curve", "--radius-grid", "0:nan:1"],
+    "curve radius inf": ["curve", "--radius", "0.1,inf"],
+    "workers 0": ["curve", "--workers", "0"],
+    "radii workers 0": ["radii", "--workers", "0"],
+    "sample past 2**64": ["sample", "--start", str(2**64 - 1), "--count", "2"],
+    "sample radius nan": ["sample", "--radius", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_bad_value_is_usage_error(files, case):
+    command, *change = USAGE_ERRORS[case]
+    argv = to_argv(command, base(files, command)) + change  # the last value wins
+    rc, err = run(argv)
+    assert rc == 2, (argv, err)
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--dataset", "--labels"])
+def test_empty_csv_says_no_rows(files, flag):
+    command = "decide" if flag == "--input" else "curve"
+    rc, err = run(to_argv(command, base(files, command)) + [flag, files["empty"]])
+    assert rc == 3
+    assert err == f"error: {files['empty']}: no rows\n"
+
+
+def test_unallocatable_shape_is_runtime_error():
+    # 2**50 doubles exceed any address space, so the allocation fails at once
+    rc, err = run(["sample", "--norm", "2", "--radius", "1", "--count", "0",
+                   "--shape", str(2**50)])
+    assert rc == 3 and err.startswith("error: ")

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dense_model
+from ewrobust import decision
 from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
                                RadiusResult, RobustnessQuery, Verdict, decide,
                                decide_with_source, evaluate, model_source,
                                point_check)
 from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import Dense, NetworkModel
-from ewrobust.prng import uniforms
+from ewrobust.prng import derive_subseed, uniforms
 from ewrobust.stats import ErrorBudget, TestPlan, plan_test
 
 BUDGET = ErrorBudget(0.001, 0.001)
@@ -48,6 +49,11 @@ class TestQueryValidation:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             query_for(constant_model(0), radius=-1.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(ValueError):
+            query_for(constant_model(0), radius=radius)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
@@ -230,6 +236,21 @@ class TestEvaluate:
             evaluate(self.query(), radius_max=0.0, precision=0.1)
         with pytest.raises(ValueError):
             evaluate(self.query(), radius_max=1.0, precision=0.0)
+        with pytest.raises(ValueError):
+            evaluate(self.query(), radius_max=math.nan, precision=0.1)
+        with pytest.raises(ValueError):
+            evaluate(self.query(), radius_max=1.0, precision=math.nan)
+
+    def test_probe_seeds_follow_probe_index(self, monkeypatch):
+        real, seeds = decision.decide, []
+        monkeypatch.setattr(decision, "decide", lambda q: seeds.append(q.seed) or real(q))
+        q = RobustnessQuery(model=threshold_classifier(1, 0, 0.5), center=np.array([0.0]),
+                            radius=0.0, norm="inf", epsilon=0.2, omega=frozenset({0}),
+                            budget=ErrorBudget(0.05, 0.05), seed=20, epsilon_prime=0.1)
+        for _ in range(2):  # a second run restarts at probe 0
+            seeds.clear()
+            res = evaluate(q, radius_max=4.0, precision=0.5)
+            assert seeds == [derive_subseed(20, k) for k in range(len(res.probes))]
 
     def test_deterministic(self):
         model = threshold_classifier(1, 0, 0.5)

@@ -1,0 +1,106 @@
+"""Golden hashes of the two numeric kernels: ball sampling and the forward
+pass.  A faster kernel must reproduce every bit of these outputs.
+
+Inputs and weights come from the package's own Philox stream (pinned by the
+known-answer vectors in test_prng.py), so the hashes do not depend on numpy's
+random generators.  The l1, linf and forward hashes involve only exactly
+rounded IEEE operations; the l2 hashes also pin the platform's log, exp and
+pow, and were recorded with numpy 2.4 on x86-64 Linux.
+
+To re-record after a deliberate, documented change, print ``golden_hashes()``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Normalize,
+                         Relu, forward)
+from ewrobust.prng import uniforms
+from ewrobust.sampling import NORMS, BallSpec, SampleStream, sample_batch
+
+BATCH_SIZES = (1, 7, 256)
+
+GOLDEN = {  # recorded before the uniforms top-code fix; no bit moved
+    "sample-l1/1": "0c3c6582283e39c348ca5012eba4723f",
+    "sample-l1/7": "8d9ca0f6c869c53615bdd32480f1d5c3",
+    "sample-l1/256": "c9c911b4799f780bbc3343229c2c5b22",
+    "sample-l2/1": "89b010c77f29d22b3b22969201b7e62a",
+    "sample-l2/7": "7c5bea3bed5e411600f9a6f4cb4b4a27",
+    "sample-l2/256": "37864a0ee463eb4a7c5bcb9452b0c207",
+    "sample-linf/1": "013f514a5af486d93a531ac65bc531e2",
+    "sample-linf/7": "797d00a8701f314ffd0aa81a6bc8258d",
+    "sample-linf/256": "f771ae65cd0841d2fdb283dabf644a65",
+    "forward-mlp/1": "3f08adf72f28c0c53d79823ed4db3bd3",
+    "forward-mlp/7": "1e8708bea8ac8abad33d618456f6acf8",
+    "forward-mlp/256": "db75494785b9c050ab115212398207dd",
+    "forward-cnn/1": "d5ae661a820f0dcd9f27a151088f3e74",
+    "forward-cnn/7": "2498a867ab828a7a09d96909330394ad",
+    "forward-cnn/256": "10d2bb27f7e6555a007900f8cfa3b4ce",
+}
+
+
+def _digest(array: np.ndarray) -> str:
+    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _values(seed: int, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+    """Deterministic values in (-scale, scale) with the given shape."""
+    rows, cols = shape[0], int(np.prod(shape[1:]))
+    u = uniforms(seed, np.arange(rows), cols)
+    return (scale * (2.0 * u - 1.0)).reshape(shape)
+
+
+def _mlp() -> NetworkModel:
+    return NetworkModel((64,), 10, (
+        Dense(_values(11, (32, 64), 0.3), _values(12, (1, 32))[0]),
+        Relu(),
+        Dense(_values(13, (16, 32), 0.3), _values(14, (1, 16))[0]),
+        Relu(),
+        Dense(_values(15, (10, 16), 0.3), _values(16, (1, 10))[0]),
+    ))
+
+
+def _cnn() -> NetworkModel:
+    # (1,12,12) -> normalize -> conv 1->4 pad 1 -> pool 2 -> conv 4->8 stride 2 -> dense
+    return NetworkModel((1, 12, 12), 10, (
+        Normalize(np.array([0.25]), np.array([0.5])),
+        Conv2d(_values(21, (4, 1, 3, 3), 0.5), _values(22, (1, 4))[0], (1, 1), (1, 1)),
+        Relu(),
+        MaxPool2d((2, 2), (2, 2)),
+        Conv2d(_values(23, (8, 4, 3, 3), 0.3), _values(24, (1, 8))[0], (2, 2), (0, 0)),
+        Relu(),
+        Flatten(),
+        Dense(_values(25, (10, 32), 0.3), _values(26, (1, 10))[0]),
+    ))
+
+
+def _sample(norm: str, count: int) -> np.ndarray:
+    spec = BallSpec(_values(31, (1, 24))[0], 0.3, norm)
+    return sample_batch(spec, SampleStream(2024), 1000, count)
+
+
+def _forward(name: str, count: int) -> np.ndarray:
+    model = _mlp() if name == "mlp" else _cnn()
+    inputs = _values(41, (256,) + model.input_shape)
+    return forward(model, inputs[:count])
+
+
+CASES = ([(f"sample-l{norm}", size) for norm in NORMS for size in BATCH_SIZES]
+         + [(f"forward-{name}", size) for name in ("mlp", "cnn") for size in BATCH_SIZES])
+
+
+def _output(case: str, size: int) -> np.ndarray:
+    kind, what = case.split("-", 1)
+    return _sample(what[1:], size) if kind == "sample" else _forward(what, size)
+
+
+def golden_hashes() -> dict:
+    return {f"{case}/{size}": _digest(_output(case, size)) for case, size in CASES}
+
+
+@pytest.mark.parametrize("case,size", CASES)
+def test_golden_hash(case, size):
+    assert _digest(_output(case, size)) == GOLDEN[f"{case}/{size}"]

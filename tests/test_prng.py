@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewrobust import prng
 from ewrobust.prng import SUBSTREAM_REDRAW, derive_subseed, philox4x32, uniforms
 
 # Known-answer vectors from the published Philox4x32-10 test suite.
@@ -47,6 +48,19 @@ def test_uniforms_open_interval():
     u = uniforms(123, np.arange(1000), 8)
     assert u.shape == (1000, 8)
     assert (u > 0.0).all() and (u < 1.0).all()
+
+
+def test_uniforms_at_edge_codes(monkeypatch):
+    # a uniform is (k + 1/2) * 2**-53 for the top 53 bits k of a 64-bit word;
+    # k = 2**53 - 1 used to round to exactly 1.0
+    codes = np.array([[0, 2**52], [2**53 - 2, 2**53 - 1]], dtype=np.uint64)
+    want = [[2.0**-54, 0.5], [1.0 - 2.0**-52, 1.0 - 2.0**-53]]
+    for low in (0, 0x7FF):  # the 11 low bits are dropped
+        words = (codes << np.uint64(11)) | np.uint64(low)
+        hi, lo = (words >> np.uint64(32)).astype(np.uint32), words.astype(np.uint32)
+        monkeypatch.setattr(prng, "philox4x32",
+                            lambda *args: (hi[:, :1], lo[:, :1], hi[:, 1:], lo[:, 1:]))
+        assert uniforms(0, np.arange(2), 2).tolist() == want
 
 
 def test_uniforms_partition_invariance():

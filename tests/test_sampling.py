@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewrobust import prng, sampling
 from ewrobust.sampling import (L1, L2, LINF, NORMS, RADIAL_UNIFORM, BallSpec,
-                               SampleStream, ball_norm, sample_batch,
-                               sample_l1, sample_l2, sample_linf)
+                               SampleStream, ball_norm, sample_batch)
 
 STREAM = SampleStream(seed=2024)
 
@@ -33,13 +33,10 @@ class TestSpecs:
         with pytest.raises(ValueError):
             SampleStream(seed=1, radial="beta")
 
-    def test_norm_specific_helpers_check_spec(self):
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, radius):
         with pytest.raises(ValueError):
-            sample_l1(spec_for(L2), STREAM, 0)
-        with pytest.raises(ValueError):
-            sample_l2(spec_for(LINF), STREAM, 0)
-        with pytest.raises(ValueError):
-            sample_linf(spec_for(L1), STREAM, 0)
+            BallSpec(np.zeros(3), radius, L2)
 
 
 class TestDeterminism:
@@ -73,6 +70,29 @@ class TestDeterminism:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_batch(spec_for(L1), STREAM, 0, 0)
+
+
+class TestL2Redraw:
+    @pytest.mark.parametrize("radial", ["gamma", RADIAL_UNIFORM])
+    def test_exact_half_row_is_redrawn(self, monkeypatch, radial):
+        # in 1-d a primary uniform of exactly 0.5 gives y = 0, so s = 0; the
+        # row must come from the redraw lane instead of 0/0
+        real = prng.uniforms
+
+        def forced(seed, indices, n_draws, substream=prng.SUBSTREAM_MAIN):
+            u = real(seed, indices, n_draws, substream)
+            if substream == prng.SUBSTREAM_MAIN:
+                u[1, 0] = 0.5
+            return u
+
+        spec, stream = BallSpec(np.array([3.0]), 2.0, L2), SampleStream(2024, radial)
+        plain = sample_batch(spec, stream, 10, 3)
+        monkeypatch.setattr(sampling.prng, "uniforms", forced)
+        pts = sample_batch(spec, stream, 10, 3)
+        assert np.isfinite(pts).all()
+        assert (ball_norm(spec, pts) <= 2.0).all()
+        assert np.array_equal(pts[[0, 2]], plain[[0, 2]])
+        assert pts[1, 0] != plain[1, 0]
 
 
 class TestContainment:

@@ -271,16 +271,16 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    model, dataset, omega, prototype = _load_sweep(args, "radii")
+    _, dataset, omega, prototype = _load_sweep(args, "radii")
 
     def point(pi):
         gold = int(dataset.labels[pi])
-        point_omega = omega or frozenset({gold})
-        if not point_check(model, dataset.inputs[pi], point_omega):
-            return gold, None  # flagged, excluded from summaries
-        query = replace(prototype, center=dataset.inputs[pi], omega=point_omega,
+        query = replace(prototype, center=dataset.inputs[pi], omega=omega or {gold},
                         seed=derive_subseed(args.seed, pi))
-        return gold, evaluate(query, args.radius_max, args.precision).r_star
+        try:
+            return gold, evaluate(query, args.radius_max, args.precision).r_star
+        except CenterMisclassifiedError:
+            return gold, None  # flagged, excluded from summaries
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(point, range(len(dataset))))
@@ -348,13 +348,13 @@ def cmd_sample(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub, *, workers=False):
+def _add_common(sub, *, sweep=False):
+    """Flags of decide and evaluate (one point), or of curve and radii (a
+    sweep over a dataset)."""
     sub.add_argument("--model", required=True, help="model file (JSON)")
     sub.add_argument("--dataset", help="inputs CSV, one flattened tensor per row")
     sub.add_argument("--labels", help="gold labels, one integer per line")
     sub.add_argument("--shape", help="tensor shape, e.g. 3,32,32")
-    sub.add_argument("--input", help="single-point CSV (first row used)")
-    sub.add_argument("--index", type=int, help="row index into --dataset")
     sub.add_argument("--omega", help="allowed labels, e.g. 1,9 (default: gold or predicted)")
     sub.add_argument("--norm", default="inf", choices=sampling.NORMS, help="ball norm")
     sub.add_argument("--seed", type=_INDEX, default=0, help="64-bit stream seed")
@@ -369,11 +369,12 @@ def _add_common(sub, *, workers=False):
     sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
                      help="type II error bound")
     sub.add_argument("--batch", type=_POSITIVE_INT, default=256, help="samples per batch")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall-time columns (breaks byte reproducibility)")
-    if workers:
+    if sweep:
         sub.add_argument("--workers", type=_POSITIVE_INT, default=os.cpu_count() or 1,
                          help="parallel workers (default: CPU count); never changes results")
+    else:
+        sub.add_argument("--input", help="single-point CSV (first row used)")
+        sub.add_argument("--index", type=int, help="row index into --dataset")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decide", help="decide robustness at one radius")
     _add_common(p)
     p.add_argument("--radius", type=_RADIUS, required=True, help="perturbation radius")
+    p.add_argument("--timings", action="store_true",
+                   help="include a wall-time column (breaks byte reproducibility)")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("evaluate", help="maximum robust radius for one point")
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("curve", help="fraction-SAT over a radius grid")
-    _add_common(p, workers=True)
+    _add_common(p, sweep=True)
     p.add_argument("--radius", help="comma-separated radius list")
     p.add_argument("--radius-grid", help="min:max:step inclusive grid")
     p.add_argument("--correct-only", action="store_true",
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("radii", help="per-point maximum radii with class summaries")
-    _add_common(p, workers=True)
+    _add_common(p, sweep=True)
     p.add_argument("--radius-max", type=_POSITIVE, required=True, help="search upper bound")
     p.add_argument("--precision", type=_POSITIVE, required=True, help="bisection precision")
     p.set_defaults(func=cmd_radii)

@@ -8,13 +8,11 @@ output is identical to a serial run.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-
-_U32 = np.uint32
-_U64 = np.uint64
+_MASK32 = 0xFFFFFFFF
 
 # substream tags: 0 = primary draws, 1 = redraw lane, 0xffffffff = subseed derivation
 SUBSTREAM_MAIN = 0
@@ -26,30 +24,30 @@ _BELOW_ONE = 1.0 - _INV_2_53  # largest double below 1
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox4x32-10 block per counter element; inputs are uint32 arrays
-    (or scalars), broadcast together.  Returns the four output words."""
-    c0 = np.asarray(c0, dtype=_U32)
-    c1 = np.asarray(c1, dtype=_U32)
-    c2 = np.asarray(c2, dtype=_U32)
-    c3 = np.asarray(c3, dtype=_U32)
-    k0 = int(k0) & 0xFFFFFFFF
-    k1 = int(k1) & 0xFFFFFFFF
+    """Philox4x32-10 on 32-bit words, one block per counter element.
+
+    Counter words are Python ints or uint64 arrays holding 32-bit values,
+    broadcast together; the keys are Python ints.  Returns the four output
+    words in the same form.  Products of two 32-bit words are exact in both,
+    so the two forms give the same bits.  Never pass numpy scalars or 0-d
+    arrays: NumPy 1.x promotes them, mixed with Python ints, to float64.
+    """
     for _ in range(10):
-        p0 = c0.astype(_U64) * _M0
-        p1 = c2.astype(_U64) * _M1
-        hi0 = (p0 >> _U64(32)).astype(_U32)
-        lo0 = p0.astype(_U32)
-        hi1 = (p1 >> _U64(32)).astype(_U32)
-        lo1 = p1.astype(_U32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ _U32(k0), lo1, hi0 ^ c3 ^ _U32(k1), lo0
-        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
-        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+        p0 = c0 * 0xD2511F53
+        p1 = c2 * 0xCD9E8D57
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & _MASK32,
+                          (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32)
+        k0 = (k0 + 0x9E3779B9) & _MASK32
+        k1 = (k1 + 0xBB67AE85) & _MASK32
     return c0, c1, c2, c3
 
 
-def _split64(v) -> tuple[np.ndarray, np.ndarray]:
-    v = np.asarray(v, dtype=_U64)
-    return v.astype(_U32), (v >> _U64(32)).astype(_U32)
+def _u64(value) -> int:
+    """value as a Python int, which must lie in [0, 2**64)."""
+    value = operator.index(value)
+    if not 0 <= value < 2**64:
+        raise OverflowError(f"{value} is outside [0, 2**64)")
+    return value
 
 
 def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) -> np.ndarray:
@@ -58,23 +56,18 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
     Draw j of sample i is block ctr=(j//2, substream, i_lo, i_hi) under
     key=(seed_lo, seed_hi); each 128-bit block yields two 53-bit doubles.
     """
-    indices = np.asarray(indices, dtype=_U64)
+    seed = _u64(seed)
+    indices = np.asarray(indices, dtype=np.uint64)
     if n_draws == 0:
         return np.empty((indices.size, 0), dtype=np.float64)
     n_blocks = (n_draws + 1) // 2
-    i_lo, i_hi = _split64(indices)
-    blocks = np.arange(n_blocks, dtype=_U32)
-    c0 = np.broadcast_to(blocks, (indices.size, n_blocks))
-    c1 = _U32(substream)
-    c2 = i_lo[:, None]
-    c3 = i_hi[:, None]
-    k_lo, k_hi = _split64(np.uint64(seed) & _U64(0xFFFFFFFFFFFFFFFF))
-    w0, w1, w2, w3 = philox4x32(c0, c1, c2, c3, int(k_lo), int(k_hi))
-    d0 = (w0.astype(_U64) << _U64(32)) | w1.astype(_U64)
-    d1 = (w2.astype(_U64) << _U64(32)) | w3.astype(_U64)
+    w0, w1, w2, w3 = philox4x32(np.arange(n_blocks, dtype=np.uint64), substream,
+                                (indices & _MASK32)[:, None], (indices >> 32)[:, None],
+                                seed & _MASK32, seed >> 32)
     out = np.empty((indices.size, 2 * n_blocks), dtype=np.float64)
-    out[:, 0::2] = ((d0 >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    out[:, 1::2] = ((d1 >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    out[:, 0::2] = (((w0 << 32) | w1) >> 11) + 0.5
+    out[:, 1::2] = (((w2 << 32) | w3) >> 11) + 0.5
+    out *= _INV_2_53
     # from k = 2**52 on, k + 1/2 rounds half to even, so the top 53-bit code
     # k = 2**53 - 1 gives exactly 1.0; only that value moves, to just below 1
     np.minimum(out, _BELOW_ONE, out=out)
@@ -84,8 +77,7 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
 def derive_subseed(seed: int, k: int) -> int:
     """A 64-bit sub-seed for nested runs (per probe, per dataset point),
     taken from a substream no sampler ever touches."""
-    k_lo, k_hi = _split64(np.uint64(k))
-    s_lo, s_hi = _split64(np.uint64(seed))
-    w0, w1, _, _ = philox4x32(k_lo, _U32(_SUBSTREAM_SUBSEED), k_hi, _U32(0),
-                              int(s_lo), int(s_hi))
-    return int((np.uint64(w0) << _U64(32)) | np.uint64(w1))
+    seed, k = _u64(seed), _u64(k)
+    w0, w1, _, _ = philox4x32(k & _MASK32, _SUBSTREAM_SUBSEED, k >> 32, 0,
+                              seed & _MASK32, seed >> 32)
+    return (w0 << 32) | w1

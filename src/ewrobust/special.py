@@ -33,19 +33,21 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _acklam(q: float) -> float:
-    if q < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(q))
-        return ((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
-                / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
-    if q > 1.0 - _P_LOW:
-        t = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
-                 / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
-    u = q - 0.5
+# Acklam's rationals, written once for Python floats and float64 arrays: both
+# round each operation alike, so the scalar and array paths agree bit for bit.
+# Each path keeps its own log (np.log and math.log can differ in the last bit).
+
+def _acklam_central(u):
+    """Acklam's central rational in u = q - 1/2, for 0.02425 <= q <= 0.97575."""
     t = u * u
     return (((((((_A[0] * t + _A[1]) * t + _A[2]) * t + _A[3]) * t + _A[4]) * t + _A[5]) * u)
             / (((((_B[0] * t + _B[1]) * t + _B[2]) * t + _B[3]) * t + _B[4]) * t + 1.0))
+
+
+def _acklam_tail(t):
+    """Acklam's lower-tail rational in t = sqrt(-2 log q), for q < 0.02425."""
+    return ((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
+            / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
 
 
 def inv_norm_cdf(q: float) -> float:
@@ -56,7 +58,12 @@ def inv_norm_cdf(q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q!r}")
-    z = _acklam(q)
+    if q < _P_LOW:
+        z = _acklam_tail(math.sqrt(-2.0 * math.log(q)))
+    elif q > 1.0 - _P_LOW:
+        z = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - q)))
+    else:
+        z = _acklam_central(q - 0.5)
     e = norm_cdf(z) - q
     u = e * _SQRT_2PI * math.exp(0.5 * z * z)
     return z - u / (1.0 + 0.5 * z * u)
@@ -70,23 +77,12 @@ def inv_norm_cdf_array(q: np.ndarray) -> np.ndarray:
     lo = q < _P_LOW
     hi = q > 1.0 - _P_LOW
     mid = ~(lo | hi)
-
-    def tail(p):
-        t = np.sqrt(-2.0 * np.log(p))
-        num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
-        den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        return num / den
-
     if lo.any():
-        z[lo] = tail(q[lo])
+        z[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(q[lo])))
     if hi.any():
-        z[hi] = -tail(1.0 - q[hi])
+        z[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - q[hi])))
     if mid.any():
-        u = q[mid] - 0.5
-        t = u * u
-        num = ((((_A[0] * t + _A[1]) * t + _A[2]) * t + _A[3]) * t + _A[4]) * t + _A[5]
-        den = ((((_B[0] * t + _B[1]) * t + _B[2]) * t + _B[3]) * t + _B[4]) * t + 1.0
-        z[mid] = num * u / den
+        z[mid] = _acklam_central(q[mid] - 0.5)
     return z
 
 

@@ -90,12 +90,13 @@ def values(f):
     }
 
 
-COMMON = ["--model", "--dataset", "--labels", "--shape", "--input", "--index", "--omega",
-          "--norm", "--seed", "--clamp", "--out", "--bogus"]
-STATS = ["--eps", "--eps-prime", "--alpha", "--beta", "--batch", "--timings"]
+COMMON = ["--model", "--dataset", "--labels", "--shape", "--omega", "--norm", "--seed",
+          "--clamp", "--out", "--bogus"]
+POINT = ["--input", "--index"]
+STATS = ["--eps", "--eps-prime", "--alpha", "--beta", "--batch"]
 OPTIONS = {
-    "decide": COMMON + STATS + ["--radius"],
-    "evaluate": COMMON + STATS + ["--radius-max", "--precision"],
+    "decide": COMMON + POINT + STATS + ["--timings", "--radius"],
+    "evaluate": COMMON + POINT + STATS + ["--radius-max", "--precision"],
     "curve": COMMON + STATS + ["--workers", "--radius-list", "--radius-grid",
                                "--correct-only"],
     "radii": COMMON + STATS + ["--workers", "--radius-max", "--precision"],
@@ -188,6 +189,15 @@ def test_bad_value_is_usage_error(files, case):
     rc, err = run(argv)
     assert rc == 2, (argv, err)
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("evaluate", "--timings"), ("curve", "--timings"), ("radii", "--timings"),
+    ("curve", "--input"), ("curve", "--index"), ("radii", "--input"), ("radii", "--index")])
+def test_unread_flag_is_usage_error(files, command, flag):
+    # a flag a subcommand would ignore is rejected, not accepted silently
+    rc, err = run(to_argv(command, {**base(files, command), flag: values(files)[flag][0]}))
+    assert rc == 2 and f"unrecognized arguments: {flag}" in err, err
 
 
 @pytest.mark.parametrize("flag", ["--input", "--dataset", "--labels"])

@@ -1,5 +1,6 @@
-"""Golden hashes of the two numeric kernels: ball sampling and the forward
-pass.  A faster kernel must reproduce every bit of these outputs.
+"""Golden hashes of the two numeric kernels, ball sampling and the forward
+pass, and golden sub-seeds.  A faster kernel must reproduce every bit of
+these outputs.
 
 Inputs and weights come from the package's own Philox stream (pinned by the
 known-answer vectors in test_prng.py), so the hashes do not depend on numpy's
@@ -17,7 +18,7 @@ import pytest
 
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Normalize,
                          Relu, forward)
-from ewrobust.prng import uniforms
+from ewrobust.prng import derive_subseed, uniforms
 from ewrobust.sampling import NORMS, BallSpec, SampleStream, sample_batch
 
 BATCH_SIZES = (1, 7, 256)
@@ -38,6 +39,33 @@ GOLDEN = {  # recorded before the uniforms top-code fix; no bit moved
     "forward-cnn/1": "d5ae661a820f0dcd9f27a151088f3e74",
     "forward-cnn/7": "2498a867ab828a7a09d96909330394ad",
     "forward-cnn/256": "10d2bb27f7e6555a007900f8cfa3b4ce",
+}
+
+
+# (seed, k) -> derive_subseed(seed, k), at the 32- and 64-bit word edges and
+# for the query seed of the benchmark's toy_radii workload (seed 1); recorded
+# with the numpy-scalar Philox, before the kernel took Python ints
+TOY_RADII_SEED = 8251574580129559595
+GOLDEN_SUBSEEDS = {
+    (0, 0): 0xf633989d0f07f8d6,
+    (0, 2**32 - 1): 0xf3ce744ddfb9980f,
+    (0, 2**32): 0xfd013b3904cdd514,
+    (0, 2**64 - 1): 0xafd52b10394d270f,
+    (2**32 - 1, 0): 0x7dc63fe7082814e9,
+    (2**32 - 1, 2**32 - 1): 0xd3e5cd1c4ab7051e,
+    (2**32 - 1, 2**32): 0x537144276f47d204,
+    (2**32 - 1, 2**64 - 1): 0x12a82b9c8b936cdf,
+    (2**32, 0): 0x00e94a673524f44e,
+    (2**32, 2**32 - 1): 0x48967459b1ba3645,
+    (2**32, 2**32): 0x893b100371c647f7,
+    (2**32, 2**64 - 1): 0x812f33804c18ba30,
+    (2**64 - 1, 0): 0x69d460b8422820ce,
+    (2**64 - 1, 2**32 - 1): 0x4d18d7d2430ac65a,
+    (2**64 - 1, 2**32): 0x482eacfb65af4561,
+    (2**64 - 1, 2**64 - 1): 0xeec03824e4c1e0f1,
+    (TOY_RADII_SEED, 0): 0xcc6ce26b7f414a18,
+    (TOY_RADII_SEED, 1): 0x442a08c61763ec2e,
+    (TOY_RADII_SEED, 299): 0xbfcc58d3d493dee6,
 }
 
 
@@ -104,3 +132,9 @@ def golden_hashes() -> dict:
 @pytest.mark.parametrize("case,size", CASES)
 def test_golden_hash(case, size):
     assert _digest(_output(case, size)) == GOLDEN[f"{case}/{size}"]
+
+
+@pytest.mark.parametrize("seed,k", list(GOLDEN_SUBSEEDS))
+def test_golden_subseed(seed, k):
+    value = derive_subseed(seed, k)
+    assert type(value) is int and value == GOLDEN_SUBSEEDS[seed, k]

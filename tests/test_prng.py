@@ -19,8 +19,10 @@ KAT = [
 
 @pytest.mark.parametrize("ctr,key,expected", KAT)
 def test_known_answer_vectors(ctr, key, expected):
-    out = philox4x32(*ctr, *key)
-    assert tuple(int(w) for w in out) == expected
+    out = philox4x32(*ctr, *key)  # Python ints in, Python ints out
+    assert all(type(w) is int for w in out) and out == expected
+    out = philox4x32(*(np.array([c], dtype=np.uint64) for c in ctr), *key)
+    assert tuple(int(w[0]) for w in out) == expected
 
 
 def _philox_reference(ctr, key):
@@ -36,12 +38,18 @@ def _philox_reference(ctr, key):
     return tuple(c)
 
 
-@given(st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6))
+WORD = st.integers(0, 2**32 - 1)
+
+
+@given(st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=8),
+       st.tuples(WORD, WORD))
 @settings(max_examples=50)
-def test_vectorized_matches_scalar_reference(words):
-    ctr, key = tuple(words[:4]), tuple(words[4:])
-    out = philox4x32(*ctr, *key)
-    assert tuple(int(w) for w in out) == _philox_reference(ctr, key)
+def test_vectorized_matches_scalar_reference(ctrs, key):
+    words = np.array(ctrs, dtype=np.uint64).T  # one uint64 array per counter word
+    out = philox4x32(*words, *key)
+    assert all(w.dtype == np.uint64 for w in out)
+    assert ([tuple(int(w[row]) for w in out) for row in range(len(ctrs))]
+            == [_philox_reference(ctr, key) for ctr in ctrs])
 
 
 def test_uniforms_open_interval():
@@ -57,7 +65,7 @@ def test_uniforms_at_edge_codes(monkeypatch):
     want = [[2.0**-54, 0.5], [1.0 - 2.0**-52, 1.0 - 2.0**-53]]
     for low in (0, 0x7FF):  # the 11 low bits are dropped
         words = (codes << np.uint64(11)) | np.uint64(low)
-        hi, lo = (words >> np.uint64(32)).astype(np.uint32), words.astype(np.uint32)
+        hi, lo = words >> np.uint64(32), words & np.uint64(0xFFFFFFFF)
         monkeypatch.setattr(prng, "philox4x32",
                             lambda *args: (hi[:, :1], lo[:, :1], hi[:, 1:], lo[:, 1:]))
         assert uniforms(0, np.arange(2), 2).tolist() == want
@@ -96,3 +104,11 @@ def test_derive_subseed_deterministic_and_spread():
     assert len(seeds) == 1000
     assert derive_subseed(42, 7) == derive_subseed(42, 7)
     assert derive_subseed(42, 7) != derive_subseed(43, 7)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_seed_or_k_outside_64_bits_raises(bad):
+    for call in (lambda: derive_subseed(bad, 0), lambda: derive_subseed(0, bad),
+                 lambda: uniforms(bad, np.arange(2), 2)):
+        with pytest.raises(OverflowError):
+            call()

@@ -32,6 +32,7 @@ from .stats import ErrorBudget, plan_test
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
+MAX_GRID_RADII = 1_000_000  # a longer --radius-grid is a usage error, not a huge list
 
 
 class UsageError(ValueError):
@@ -103,7 +104,11 @@ def _parse_grid(args) -> list[float]:
         if not math.isfinite(span):
             raise UsageError(f"--radius-grid needs finite lo:hi:step with step > 0, "
                              f"got {args.radius_grid!r}")
-        grid = [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
+        count = math.floor(span + 1e-9) + 1
+        if count > MAX_GRID_RADII:
+            raise UsageError(f"--radius-grid {args.radius_grid!r} has {count} radii, "
+                             f"more than {MAX_GRID_RADII}")
+        grid = [lo + k * step for k in range(count)]
     elif args.radius is not None:
         try:
             grid = [float(v) for v in str(args.radius).split(",")]
@@ -441,7 +446,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, CenterMisclassifiedError, OSError, ValueError, MemoryError) as exc:
+    except MemoryError as exc:  # a failed Python allocation carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except (ModelError, CenterMisclassifiedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

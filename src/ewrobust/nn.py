@@ -82,6 +82,11 @@ class Relu:
         return np.maximum(x, 0.0)
 
 
+# bytes of one conv2d accumulator tile; large batches step fewer output
+# channels and rows at a time so the tile and its temporary stay in cache
+_CONV_TILE_BYTES = 512 * 1024
+
+
 @dataclass(frozen=True)
 class Conv2d:
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
@@ -105,20 +110,42 @@ class Conv2d:
         return (self.weight.shape[0], oh, ow)
 
     def apply(self, x):
+        # rows innermost: the input is laid out (C, H, W, n) and the output
+        # (oc, oh, ow, n), returned as a batch-first transposed view.  Each
+        # output element is bias, then + x*w for (c, i, j) in lexicographic
+        # order, two roundings per step, as for any other batch size.
         oc, ic, kh, kw = self.weight.shape
         ph, pw = self.padding
         sh, sw = self.stride
         _, oh, ow = self.out_shape(x.shape[1:])
+        n, _, h, w = x.shape
         if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        out = np.broadcast_to(self.bias[None, :, None, None],
-                              (x.shape[0], oc, oh, ow)).copy()
-        for c in range(ic):
-            for i in range(kh):
-                for j in range(kw):
-                    patch = x[:, c, i:i + oh * sh:sh, j:j + ow * sw:sw]
-                    out += patch[:, None, :, :] * self.weight[None, :, c, i, j, None, None]
-        return out
+            xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n))
+            xt[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
+        else:  # no copy when x is the view a conv or relu returned
+            xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+        weight = self.weight.transpose(1, 2, 3, 0)  # (ic, kh, kw, oc)
+        # tiles of output rows and channels whose accumulator fits the cache
+        # budget: all rows of as many channels as fit, else as many rows of one
+        row_bytes = max(1, ow * n * 8)  # an empty batch takes one tile
+        rows = min(oh, max(1, _CONV_TILE_BYTES // row_bytes))
+        block = min(oc, max(1, _CONV_TILE_BYTES // (rows * row_bytes)))
+        out = np.empty((oc, oh, ow, n))
+        tmp = np.empty((block, rows, ow, n))
+        for o in range(0, oc, block):
+            for r in range(0, oh, rows):
+                acc = out[o:o + block, r:r + rows]
+                prod = tmp[:acc.shape[0], :acc.shape[1]]
+                acc[...] = self.bias[o:o + block, None, None, None]
+                top, bottom = r * sh, (r + acc.shape[1]) * sh
+                for c in range(ic):
+                    for i in range(kh):
+                        for j in range(kw):
+                            slab = xt[c, top + i:bottom + i:sh, j:j + ow * sw:sw]
+                            np.multiply(weight[c, i, j, o:o + block, None, None, None],
+                                        slab, out=prod)
+                            acc += prod
+        return out.transpose(3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -144,7 +171,8 @@ class MaxPool2d:
         for i in range(self.window[0]):
             for j in range(self.window[1]):
                 patch = x[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw]
-                out = patch.copy() if out is None else np.maximum(out, patch)
+                # order="K" keeps the memory layout of x (rows innermost after a conv)
+                out = patch.copy(order="K") if out is None else np.maximum(out, patch)
         return out
 
 

@@ -50,6 +50,17 @@ def _u64(value) -> int:
     return value
 
 
+def _index_array(indices) -> np.ndarray:
+    """indices as a uint64 array; each must be an integer in [0, 2**64)."""
+    if not isinstance(indices, np.ndarray):
+        return np.array([_u64(i) for i in indices], dtype=np.uint64)
+    if indices.dtype.kind not in "iu":
+        raise TypeError(f"sample indices must be integers, got dtype {indices.dtype}")
+    if indices.dtype.kind == "i" and indices.size and indices.min() < 0:
+        raise OverflowError(f"{indices.min()} is outside [0, 2**64)")
+    return indices.astype(np.uint64, copy=False)
+
+
 def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) -> np.ndarray:
     """Uniform doubles strictly inside (0, 1), shape (len(indices), n_draws).
 
@@ -57,7 +68,7 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
     key=(seed_lo, seed_hi); each 128-bit block yields two 53-bit doubles.
     """
     seed = _u64(seed)
-    indices = np.asarray(indices, dtype=np.uint64)
+    indices = _index_array(indices)
     if n_draws == 0:
         return np.empty((indices.size, 0), dtype=np.float64)
     n_blocks = (n_draws + 1) // 2

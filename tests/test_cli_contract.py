@@ -174,6 +174,7 @@ USAGE_ERRORS = {
     "radius-max nan": ["evaluate", "--radius-max", "nan"],
     "grid 0:inf:1": ["curve", "--radius-grid", "0:inf:1"],
     "grid 0:nan:1": ["curve", "--radius-grid", "0:nan:1"],
+    "grid of 10**18 radii": ["curve", "--radius-grid", "0:1e9:1e-9"],
     "curve radius inf": ["curve", "--radius", "0.1,inf"],
     "workers 0": ["curve", "--workers", "0"],
     "radii workers 0": ["radii", "--workers", "0"],
@@ -206,6 +207,21 @@ def test_empty_csv_says_no_rows(files, flag):
     rc, err = run(to_argv(command, base(files, command)) + [flag, files["empty"]])
     assert rc == 3
     assert err == f"error: {files['empty']}: no rows\n"
+
+
+def test_huge_grid_names_its_length(files):
+    # refused before any list is built: 10**18 + 1 radii
+    rc, err = run(to_argv("curve", base(files, "curve")) + ["--radius-grid", "0:1e9:1e-9"])
+    assert rc == 2 and "has 1000000000000000001 radii" in err, err
+
+
+def test_memory_error_without_message_says_out_of_memory(files, monkeypatch):
+    # a failed Python allocation raises MemoryError() with an empty message
+    def exhausted(path):
+        raise MemoryError()
+    monkeypatch.setattr("ewrobust.cli._load_model_file", exhausted)
+    rc, err = run(to_argv("decide", base(files, "decide")))
+    assert (rc, err) == (3, "error: out of memory\n")
 
 
 def test_unallocatable_shape_is_runtime_error():

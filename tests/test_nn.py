@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dense_model, toy_conv_model
+from ewrobust import nn
 from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, ModelFormatError,
                          NetworkModel, Normalize, NumericOverflowError, Relu,
@@ -77,6 +78,11 @@ class TestForward:
         rows = np.vstack([forward(model, batch[k]) for k in range(9)])
         assert np.array_equal(whole, rows)
 
+    def test_conv_model_logits_are_c_contiguous(self, rng):
+        # conv layers return batch-first views of a rows-innermost array
+        logits = forward(toy_conv_model(rng), rng.normal(size=(9, 1, 8, 8)))
+        assert logits.shape == (9, 10) and logits.flags.c_contiguous
+
 
 class TestConvAndPoolSemantics:
     def _conv_reference(self, x, w, b, stride, pad):
@@ -102,6 +108,52 @@ class TestConvAndPoolSemantics:
             got = layer.apply(x[None])[0]
             want = self._conv_reference(x, w, b, stride, pad)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _broadcast_conv(layer, x):
+        # the batch-first kernel Conv2d.apply replaced: bias, then + x*w for
+        # (c, i, j) in lexicographic order, broadcast over rows and channels
+        oc, ic, kh, kw = layer.weight.shape
+        (ph, pw), (sh, sw) = layer.padding, layer.stride
+        _, oh, ow = layer.out_shape(x.shape[1:])
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        out = np.broadcast_to(layer.bias[None, :, None, None], (x.shape[0], oc, oh, ow)).copy()
+        for c in range(ic):
+            for i in range(kh):
+                for j in range(kw):
+                    patch = x[:, c, i:i + oh * sh:sh, j:j + ow * sw:sw]
+                    out += patch[:, None, :, :] * layer.weight[None, :, c, i, j, None, None]
+        return out
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_conv_bitwise_equals_broadcast_kernel(self, rng, stride, pad, rows):
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(rows, 2, 7, 6))
+        assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
+
+    @pytest.mark.parametrize("oc,side,rows", [
+        # 14x14 output by 64 rows: 98 KiB a channel, tiles of 5 channels, last of 2
+        (12, 16, 64),
+        # 30x30 output by 80 rows: 563 KiB a channel, tiles of 27 output rows
+        # of one channel, last of 3
+        (2, 32, 80)])
+    def test_conv_partial_tiles_bitwise_equal_broadcast_kernel(self, rng, oc, side, rows):
+        layer = Conv2d(rng.normal(size=(oc, 2, 3, 3)), rng.normal(size=oc), (1, 1), (0, 0))
+        x = rng.normal(size=(rows, 2, side, side))
+        assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("budget", [1, 2000])
+    def test_conv_small_tiles_bitwise_equal_broadcast_kernel(self, rng, monkeypatch,
+                                                            stride, pad, budget):
+        # budget 1: one output row of one channel per tile; 2000 bytes: several
+        # output rows of one channel, the last tile partial at strides (1, 1)
+        # and (2, 1)
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(7, 2, 11, 9))
+        assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
 
     def test_maxpool_values_come_from_window(self, rng):
         layer = MaxPool2d((2, 2), (2, 2))

@@ -112,3 +112,19 @@ def test_seed_or_k_outside_64_bits_raises(bad):
                  lambda: uniforms(bad, np.arange(2), 2)):
         with pytest.raises(OverflowError):
             call()
+
+
+@pytest.mark.parametrize("bad,error", [
+    (np.array([-1]), OverflowError), (np.array([0, -5], dtype=np.int32), OverflowError),
+    ([2**64], OverflowError), ([-1], OverflowError),
+    (np.array([1.7]), TypeError), (np.array([1.0]), TypeError), ([1.7], TypeError)])
+def test_bad_index_raises(bad, error):
+    # a numpy index must not wrap (-1 to 2**64 - 1) or truncate (1.7 to 1)
+    with pytest.raises(error):
+        uniforms(0, bad, 2)
+
+
+def test_index_forms_agree():
+    want = uniforms(5, np.array([0, 3, 2**64 - 1], dtype=np.uint64), 3)
+    assert np.array_equal(uniforms(5, [0, 3, 2**64 - 1], 3), want)
+    assert np.array_equal(uniforms(5, np.array([0, 3]), 3), want[:2])

@@ -252,7 +252,10 @@ def cmd_curve(args) -> int:
 
     keep = list(range(len(dataset)))
     if args.correct_only:
-        predictions = predict(model, dataset.inputs)
+        # --batch rows at a time: the same labels (rows are independent) in
+        # bounded memory
+        predictions = np.concatenate([predict(model, dataset.inputs[k:k + args.batch])
+                                      for k in range(0, len(dataset), args.batch)])
         keep = [i for i in keep if predictions[i] == dataset.labels[i]]
         if not keep:
             raise UsageError("--correct-only left no dataset points")

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +49,26 @@ def tensor(data, shape=None) -> np.ndarray:
     return arr
 
 
+# bytes of the products of one block of dense input columns
+_DENSE_BLOCK_BYTES = 256 * 1024
+
+
 def _dense_matmul(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     # fixed left-to-right accumulation over the input dimension: bitwise
-    # independent of batch size (BLAS kernels are not)
-    out = np.broadcast_to(bias, (x.shape[0], bias.size)).copy()
-    for j in range(x.shape[1]):
-        out += x[:, j, None] * weight[:, j]
+    # independent of batch size (BLAS kernels are not).  The products of a
+    # block of input columns come from one multiply, with contiguous operand
+    # rows; the sums stay in j order.
+    rows, cols = x.shape
+    out = np.broadcast_to(bias, (rows, bias.size)).copy()
+    block = min(cols, max(1, _DENSE_BLOCK_BYTES // max(1, out.nbytes)))
+    prod = np.empty((block, rows, bias.size))
+    xt = np.ascontiguousarray(x.T)[:, :, None]
+    wt = np.ascontiguousarray(weight.T)[:, None, :]
+    for j0 in range(0, cols, block):
+        p = prod[:min(block, cols - j0)]
+        np.multiply(xt[j0:j0 + len(p)], wt[j0:j0 + len(p)], out=p)
+        for pj in p:
+            out += pj
     return out
 
 
@@ -86,6 +103,54 @@ class Relu:
 # channels and rows at a time so the tile and its temporary stay in cache
 _CONV_TILE_BYTES = 512 * 1024
 
+_tile_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_tile_pool() -> None:
+    global _tile_pool
+    _tile_pool = None  # a forked child has none of the parent's workers
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tile_pool)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tiles(run, tiles) -> None:
+    """run(tiles) on the caller and the workers of one process-wide pool,
+    created on first use with a worker per usable CPU but the caller's.  Each
+    takes the next tile from one shared iterator until none is left.  A single
+    tile, a single CPU or a caller other than the main thread (a query thread
+    of curve/radii, or a tile worker) runs every tile inline, so pools never
+    nest."""
+    global _tile_pool
+    cpus = _usable_cpus()
+    helpers = min(len(tiles), cpus) - 1
+    if helpers < 1 or threading.current_thread() is not threading.main_thread():
+        run(tiles)
+        return
+    if _tile_pool is None:  # only the main thread gets here
+        _tile_pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="conv-tile")
+    errstate = np.geterr()  # thread-local: a worker starts from numpy's defaults
+    shared = iter(tiles)  # next() on a list iterator is atomic under the GIL
+
+    def helper():
+        with np.errstate(**errstate):
+            run(shared)
+
+    futures = [_tile_pool.submit(helper) for _ in range(helpers)]
+    try:
+        run(shared)
+    finally:
+        for future in futures:
+            future.result()
+
 
 @dataclass(frozen=True)
 class Conv2d:
@@ -113,7 +178,7 @@ class Conv2d:
         # rows innermost: the input is laid out (C, H, W, n) and the output
         # (oc, oh, ow, n), returned as a batch-first transposed view.  Each
         # output element is bias, then + x*w for (c, i, j) in lexicographic
-        # order, two roundings per step, as for any other batch size.
+        # order, two roundings per step, as for any other batch size or tiling.
         oc, ic, kh, kw = self.weight.shape
         ph, pw = self.padding
         sh, sw = self.stride
@@ -131,9 +196,10 @@ class Conv2d:
         rows = min(oh, max(1, _CONV_TILE_BYTES // row_bytes))
         block = min(oc, max(1, _CONV_TILE_BYTES // (rows * row_bytes)))
         out = np.empty((oc, oh, ow, n))
-        tmp = np.empty((block, rows, ow, n))
-        for o in range(0, oc, block):
-            for r in range(0, oh, rows):
+
+        def run(tiles):  # disjoint tiles of out, one temporary per share
+            tmp = np.empty((block, rows, ow, n))
+            for o, r in tiles:
                 acc = out[o:o + block, r:r + rows]
                 prod = tmp[:acc.shape[0], :acc.shape[1]]
                 acc[...] = self.bias[o:o + block, None, None, None]
@@ -145,6 +211,8 @@ class Conv2d:
                             np.multiply(weight[c, i, j, o:o + block, None, None, None],
                                         slab, out=prod)
                             acc += prod
+
+        _run_tiles(run, [(o, r) for o in range(0, oc, block) for r in range(0, oh, rows)])
         return out.transpose(3, 0, 1, 2)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ewrobust import decision
+from ewrobust import cli, decision
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
@@ -186,6 +186,30 @@ class TestCurve:
         assert rc == 0
         n_points = int(body_lines(path)[1].strip().split(",")[1])
         assert n_points < 12
+
+    def test_correct_only_predicts_batch_rows_at_a_time(self, dataset_files, tmp_path,
+                                                        monkeypatch):
+        model = tmp_path / "skew.json"
+        model.write_text(dump_model(threshold_classifier(2, 0, 0.0)))
+        whole = tmp_path / "whole.csv"
+        assert self.run(str(model), dataset_files, str(whole), ("--correct-only",)) == 0
+        sizes = []
+
+        def counting_predict(m, batch):
+            sizes.append(len(batch))
+            return predict(m, batch)
+
+        monkeypatch.setattr(cli, "predict", counting_predict)
+        chunked = tmp_path / "chunked.csv"
+        assert self.run(str(model), dataset_files, str(chunked),
+                        ("--correct-only", "--batch", "5")) == 0
+        assert sizes == [5, 5, 2]
+        assert body_lines(chunked) == body_lines(whole)
+        inputs = np.loadtxt(dataset_files[0], delimiter=",")
+        labels = np.loadtxt(dataset_files[1], dtype=int)
+        n_correct = int((predict(load_model(model.read_text()), inputs) == labels).sum())
+        assert 0 < n_correct < 12
+        assert int(body_lines(chunked)[1].split(",")[1]) == n_correct
 
     def test_empty_grid_is_usage_error(self, threshold_model_file, dataset_files,
                                        tmp_path):

@@ -1,4 +1,10 @@
 import json
+import os
+import signal
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -78,6 +84,31 @@ class TestForward:
         rows = np.vstack([forward(model, batch[k]) for k in range(9)])
         assert np.array_equal(whole, rows)
 
+    @staticmethod
+    def _column_dense(x, weight, bias):
+        # the one-column-at-a-time kernel _dense_matmul replaced
+        out = np.broadcast_to(bias, (x.shape[0], bias.size)).copy()
+        for j in range(x.shape[1]):
+            out += x[:, j, None] * weight[:, j]
+        return out
+
+    @pytest.mark.parametrize("rows,cols,outs", [(0, 5, 3), (1, 2304, 10), (7, 784, 100),
+                                                (36, 18, 10), (300, 40, 120)])
+    def test_blocked_dense_bitwise_equals_column_loop(self, rng, rows, cols, outs):
+        x, w, b = rng.normal(size=(rows, cols)), rng.normal(size=(outs, cols)), rng.normal(size=outs)
+        assert np.array_equal(nn._dense_matmul(x, w, b), self._column_dense(x, w, b))
+
+    @pytest.mark.parametrize("budget", [1, 5 * 3 * 4 * 8])
+    def test_dense_partial_last_block_bitwise_equals_column_loop(self, rng, monkeypatch, budget):
+        # 3 rows by 4 outputs: one column a block, or blocks of 5, 5 and 3
+        monkeypatch.setattr(nn, "_DENSE_BLOCK_BYTES", budget)
+        x, w, b = rng.normal(size=(3, 13)), rng.normal(size=(4, 13)), rng.normal(size=4)
+        # a transposed view, as a flatten of a rows-innermost conv output gives
+        xf = np.asfortranarray(x)
+        want = self._column_dense(x, w, b)
+        assert np.array_equal(nn._dense_matmul(x, w, b), want)
+        assert np.array_equal(nn._dense_matmul(xf, w, b), want)
+
     def test_conv_model_logits_are_c_contiguous(self, rng):
         # conv layers return batch-first views of a rows-innermost array
         logits = forward(toy_conv_model(rng), rng.normal(size=(9, 1, 8, 8)))
@@ -154,6 +185,133 @@ class TestConvAndPoolSemantics:
         layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
         x = rng.normal(size=(7, 2, 11, 9))
         assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
+
+    @staticmethod
+    def _eager_pool(monkeypatch, cpus=2):
+        # the pool's worker drains the shared tile iterator before submit
+        # returns, so it computes every tile, under its own thread's errstate
+        class EagerPool(ThreadPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                EagerPool.submits += 1
+                future = super().submit(fn, *args, **kwargs)
+                future.exception()  # waits for the share to finish
+                return future
+
+        pool = EagerPool(cpus - 1)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "_tile_pool", pool)
+        return pool
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    def test_conv_tiles_on_pool_worker_bitwise_equal_inline(self, rng, monkeypatch, stride, pad):
+        # 2000 bytes: tiles of several output rows of one channel, the last
+        # partial at strides (1, 1) and (2, 1)
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(7, 2, 11, 9))
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        inline = layer.apply(x)
+        pool = self._eager_pool(monkeypatch)
+        try:
+            pooled = layer.apply(x)
+        finally:
+            pool.shutdown()
+        assert pool.submits == 1
+        assert np.array_equal(pooled, inline)
+        assert np.array_equal(pooled, self._broadcast_conv(layer, x))
+
+    def test_conv_tiles_shared_by_main_thread_and_pool(self, rng, monkeypatch):
+        # a real pool of two workers, created on first use; which thread takes
+        # which tile varies from run to run, the bits do not
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(nn, "_tile_pool", None)
+        layer = Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (1, 1), (1, 1))
+        x = rng.normal(size=(7, 2, 20, 9))
+        try:
+            for _ in range(5):
+                assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
+        finally:
+            nn._tile_pool.shutdown()
+
+    def test_conv_overflow_on_pool_worker_raises_overflow_error(self, rng, monkeypatch):
+        # the worker must run its tiles under forward's errstate(over="ignore"),
+        # or the overflow surfaces as a RuntimeWarning turned error
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layers = (Conv2d(np.full((3, 1, 3, 3), 1e300), np.zeros(3), (1, 1), (0, 0)),
+                  Flatten(), Dense(np.ones((2, 3 * 9 * 7)), np.zeros(2)))
+        model = NetworkModel((1, 11, 9), 2, layers)
+        pool = self._eager_pool(monkeypatch)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericOverflowError, match="layer 0"):
+                    forward(model, np.full((7, 1, 11, 9), 1e10))
+        finally:
+            pool.shutdown()
+        assert pool.submits == 1
+
+    def test_conv_off_main_thread_runs_inline(self, rng, monkeypatch):
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (2, 1), (1, 0))
+        x = rng.normal(size=(7, 2, 11, 9))
+        pool = self._eager_pool(monkeypatch)
+        result = []
+        thread = threading.Thread(target=lambda: result.append(layer.apply(x)))
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            pool.shutdown()
+        assert not thread.is_alive() and len(result) == 1
+        assert pool.submits == 0
+        assert np.array_equal(result[0], self._broadcast_conv(layer, x))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
+    def test_conv_in_forked_child_does_not_wait_on_parents_pool(self, rng, monkeypatch):
+        # the child inherits the pool object but none of its worker threads
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "_tile_pool", None)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (1, 1), (0, 0))
+        x = rng.normal(size=(7, 2, 11, 9))
+        want = layer.apply(x)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: exit without returning into pytest
+                os._exit(0 if np.array_equal(layer.apply(x), want) else 1)
+            deadline = time.monotonic() + 30
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            nn._tile_pool.shutdown()
+        assert done[0] == pid, "child hung"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_run_tiles_runs_each_tile_once_under_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(nn, "_tile_pool", None)
+        seen, lock = [], threading.Lock()
+
+        def run(tiles):
+            for tile in tiles:
+                time.sleep(0.001)
+                with lock:
+                    seen.append((tile, np.geterr()["over"]))
+
+        try:
+            with np.errstate(over="ignore"):
+                nn._run_tiles(run, list(range(40)))
+        finally:
+            nn._tile_pool.shutdown()
+        assert sorted(tile for tile, _ in seen) == list(range(40))
+        assert {over for _, over in seen} == {"ignore"}
 
     def test_maxpool_values_come_from_window(self, rng):
         layer = MaxPool2d((2, 2), (2, 2))

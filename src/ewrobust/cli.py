@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,13 +25,16 @@ from .data import fmt, load_dataset, load_inputs, load_labels, write_report
 from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
                        decide, evaluate, point_check)
 from .gadgets import DimacsError, build_gadget, parse_dimacs
-from .nn import ModelError, dump_model, load_model, predict
+from .nn import ModelError, _usable_cpus, dump_model, load_model, madds_per_row, predict
 from .prng import derive_subseed
 from .stats import ErrorBudget, plan_test
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
 MAX_GRID_RADII = 1_000_000  # a longer --radius-grid is a usage error, not a huge list
+# forward multiply-adds of one query batch from which sweeps run their queries
+# on threads; on 2 vCPUs threads lost below about 1M and won above about 3M
+QUERY_THREAD_MADDS = 2_000_000
 
 
 class UsageError(ValueError):
@@ -174,16 +176,31 @@ def _prototype(args, model, center, omega, radius=0.0):
 
 
 def _load_sweep(args, command):
-    """Model, dataset, --omega override and prototype query of curve/radii."""
+    """Model, dataset, --omega override, prototype query and test plan of
+    curve/radii."""
     model = _load_model_file(args.model)
     if args.dataset is None or args.labels is None or args.shape is None:
         raise UsageError(f"{command} needs --dataset, --labels and --shape")
     dataset = load_dataset(args.dataset, args.labels,
                            _parse_shape(args.shape), model.num_labels)
     omega = _parse_omega(args.omega) if args.omega else None
-    query, _ = _prototype(args, model, dataset.inputs[0],
-                          omega or {int(dataset.labels[0])})
-    return model, dataset, omega, query
+    query, plan = _prototype(args, model, dataset.inputs[0],
+                             omega or {int(dataset.labels[0])})
+    return model, dataset, omega, query, plan
+
+
+def _map_queries(args, model, plan, fn, items) -> list:
+    """[fn(item) for item in items], on a pool of query threads only when
+    more than one worker may run and one batch's forward pass (min(--batch,
+    N) rows) reaches QUERY_THREAD_MADDS multiply-adds.  Otherwise in order on
+    the calling thread, where a multi-tile conv still uses the tile pool.
+    Queries are independent and their samples counter-based, so the results
+    do not depend on which way they run."""
+    workers = min(args.workers, _usable_cpus())
+    if workers < 2 or min(args.batch, plan.N) * madds_per_row(model) < QUERY_THREAD_MADDS:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _run_metadata(args, plan=None) -> list[str]:
@@ -247,7 +264,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    model, dataset, omega, prototype = _load_sweep(args, "curve")
+    model, dataset, omega, prototype, plan = _load_sweep(args, "curve")
     grid = _parse_grid(args)
 
     keep = list(range(len(dataset)))
@@ -269,17 +286,16 @@ def cmd_curve(args) -> int:
         return decide(query).decision == SAT
 
     rows = []
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for ri, radius in enumerate(grid):
-            n_sat = sum(pool.map(lambda pi: point(ri, radius, pi), keep))
-            rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
+    for ri, radius in enumerate(grid):
+        n_sat = sum(_map_queries(args, model, plan, lambda pi: point(ri, radius, pi), keep))
+        rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
     write_report(args.out or sys.stdout, _run_metadata(args),
                  ["radius", "n_points", "n_sat", "fraction_sat"], rows)
     return 0
 
 
 def cmd_radii(args) -> int:
-    _, dataset, omega, prototype = _load_sweep(args, "radii")
+    model, dataset, omega, prototype, plan = _load_sweep(args, "radii")
 
     def point(pi):
         gold = int(dataset.labels[pi])
@@ -290,9 +306,7 @@ def cmd_radii(args) -> int:
         except CenterMisclassifiedError:
             return gold, None  # flagged, excluded from summaries
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(point, range(len(dataset))))
-
+    results = _map_queries(args, model, plan, point, range(len(dataset)))
     rows = []
     by_class: dict[int, list[float]] = {}
     for pid, (gold, r_star) in zip(dataset.ids, results):
@@ -378,8 +392,9 @@ def _add_common(sub, *, sweep=False):
                      help="type II error bound")
     sub.add_argument("--batch", type=_POSITIVE_INT, default=256, help="samples per batch")
     if sweep:
-        sub.add_argument("--workers", type=_POSITIVE_INT, default=os.cpu_count() or 1,
-                         help="parallel workers (default: CPU count); never changes results")
+        sub.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
+                         help="query threads for heavy queries (default: usable CPUs); "
+                              "never changes results")
     else:
         sub.add_argument("--input", help="single-point CSV (first row used)")
         sub.add_argument("--index", type=int, help="row index into --dataset")

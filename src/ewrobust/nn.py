@@ -116,6 +116,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, which taskset sets)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -322,6 +323,20 @@ def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
                 raise NumericOverflowError(
                     f"non-finite value after layer {idx} ({layer.kind})")
     return x
+
+
+def madds_per_row(model: NetworkModel) -> int:
+    """Multiply-adds of one row's forward pass: weight.size for each dense
+    layer, weight.size per output pixel for each conv2d, none elsewhere."""
+    total, shape = 0, model.input_shape
+    for layer in model.layers:
+        out = layer.out_shape(shape)
+        if layer.kind == "dense":
+            total += layer.weight.size
+        elif layer.kind == "conv2d":
+            total += layer.weight.size * out[1] * out[2]
+        shape = out
+    return total
 
 
 def predict(model: NetworkModel, batch: np.ndarray) -> np.ndarray:

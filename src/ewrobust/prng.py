@@ -21,6 +21,9 @@ _SUBSTREAM_SUBSEED = 0xFFFFFFFF
 
 _INV_2_53 = 2.0 ** -53
 _BELOW_ONE = 1.0 - _INV_2_53  # largest double below 1
+# Philox blocks per row chunk of uniforms: few enough to stay in L2, enough
+# that curve/radii query threads seldom hand the GIL over between numpy calls
+_PHILOX_CHUNK_BLOCKS = 16384
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -72,16 +75,24 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
     if n_draws == 0:
         return np.empty((indices.size, 0), dtype=np.float64)
     n_blocks = (n_draws + 1) // 2
-    w0, w1, w2, w3 = philox4x32(np.arange(n_blocks, dtype=np.uint64), substream,
-                                (indices & _MASK32)[:, None], (indices >> 32)[:, None],
-                                seed & _MASK32, seed >> 32)
+    blocks = np.arange(n_blocks, dtype=np.uint64)
     out = np.empty((indices.size, 2 * n_blocks), dtype=np.float64)
-    out[:, 0::2] = (((w0 << 32) | w1) >> 11) + 0.5
-    out[:, 1::2] = (((w2 << 32) | w3) >> 11) + 0.5
-    out *= _INV_2_53
-    # from k = 2**52 on, k + 1/2 rounds half to even, so the top 53-bit code
-    # k = 2**53 - 1 gives exactly 1.0; only that value moves, to just below 1
-    np.minimum(out, _BELOW_ONE, out=out)
+    # rows of about _PHILOX_CHUNK_BLOCKS blocks at a time, so the words and
+    # their temporaries stay in cache; every block is keyed on its own, so
+    # any chunking gives the same words
+    step = max(1, _PHILOX_CHUNK_BLOCKS // n_blocks)
+    for r in range(0, indices.size, step):
+        rows = indices[r:r + step, None]
+        w0, w1, w2, w3 = philox4x32(blocks, substream, rows & _MASK32, rows >> 32,
+                                    seed & _MASK32, seed >> 32)
+        chunk = out[r:r + step]
+        chunk[:, 0::2] = (((w0 << 32) | w1) >> 11) + 0.5
+        chunk[:, 1::2] = (((w2 << 32) | w3) >> 11) + 0.5
+        chunk *= _INV_2_53
+        # from k = 2**52 on, k + 1/2 rounds half to even, so the top 53-bit
+        # code k = 2**53 - 1 gives exactly 1.0; only that value moves, to
+        # just below 1
+        np.minimum(chunk, _BELOW_ONE, out=chunk)
     return out[:, :n_draws]
 
 

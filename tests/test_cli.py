@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def dataset_files(tmp_path):
 def fake_decide(monkeypatch, r_true):
     """Replace decision.decide by a noiseless oracle: SAT iff the probe radius
     is at most r_true(center).  Keyed on the center, not on call order, since
-    radii runs its points in threads."""
+    radii may run its points in threads."""
     def decide(query):
         plan = plan_test(query.epsilon, query.budget, query.epsilon_prime)
         sat = query.radius <= r_true(query.center)
@@ -275,6 +277,93 @@ class TestRadii:
                    "--labels", lab, "--shape", "2", "--eps", "0.2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+class TestQueryThreads:
+    """curve and radii run light queries in order on the main thread and put
+    heavy ones on query threads; the report body is the same either way."""
+    SEARCH = {"curve": ["--radius", "0.05,0.2,1.0"],
+              "radii": ["--radius-max", "2", "--precision", "0.25"]}
+    QUERY = {"curve": "decide", "radii": "evaluate"}  # what each runs per point
+
+    def sweep(self, command, model, data, out, workers):
+        inp, lab = data
+        return main([command, "--model", model, "--dataset", inp, "--labels", lab,
+                     "--shape", "2", *self.SEARCH[command], "--eps", "0.2",
+                     "--eps-prime", "0.1", "--alpha", "0.05", "--beta", "0.05",
+                     "--seed", "7", "--workers", workers, "--out", out])
+
+    def record_threads(self, monkeypatch, command):
+        threads = []
+        query = getattr(cli, self.QUERY[command])
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return query(*args)
+
+        monkeypatch.setattr(cli, self.QUERY[command], recording)
+        return threads
+
+    @pytest.mark.parametrize("command", ["curve", "radii"])
+    def test_light_sweep_builds_no_query_pool(self, threshold_model_file, dataset_files,
+                                              tmp_path, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a light sweep built a query pool")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        threads = self.record_threads(monkeypatch, command)
+        assert self.sweep(command, threshold_model_file, dataset_files,
+                          str(tmp_path / "out.csv"), "8") == 0
+        assert threads and all(t is threading.main_thread() for t in threads)
+
+    @pytest.mark.parametrize("command", ["curve", "radii"])
+    def test_heavy_sweep_uses_query_pool_with_same_body(self, threshold_model_file,
+                                                        dataset_files, tmp_path,
+                                                        monkeypatch, command):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        threads = self.record_threads(monkeypatch, command)
+        bodies = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"{command}_{workers}.csv"
+            assert self.sweep(command, threshold_model_file, dataset_files,
+                              str(path), workers) == 0
+            bodies.append(body_lines(path))
+        assert bodies[0] == bodies[1]
+        # one pool per curve radius, one for all radii points; capped at the CPUs
+        assert pools == [2] * (3 if command == "curve" else 1)
+        assert any(t is not threading.main_thread() for t in threads)
+
+    @pytest.mark.parametrize("workers,cpus", [("1", 8), ("8", 1)])
+    @pytest.mark.parametrize("command", ["curve", "radii"])
+    def test_one_worker_runs_every_query_on_main_thread(self, threshold_model_file,
+                                                        dataset_files, tmp_path,
+                                                        monkeypatch, command, workers,
+                                                        cpus):
+        # one worker: --workers 1, or one CPU the process may use
+        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        threads = self.record_threads(monkeypatch, command)
+        assert self.sweep(command, threshold_model_file, dataset_files,
+                          str(tmp_path / "out.csv"), workers) == 0
+        assert len(threads) == 12 * (3 if command == "curve" else 1)
+        assert all(t is threading.main_thread() for t in threads)
+
+    def test_workers_default_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        for command, search in self.SEARCH.items():
+            args = cli.build_parser().parse_args([command, "--model", "m", "--eps", "0.1",
+                                                  *search])
+            assert args.workers == 3
 
 
 class TestGadget:

@@ -78,6 +78,16 @@ def test_uniforms_partition_invariance():
     assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("budget", [1, 3, 7, 64])
+@pytest.mark.parametrize("rows,draws", [(0, 5), (1, 9), (13, 5), (10, 16)])
+def test_uniforms_row_chunks_bitwise_equal_one_pass(monkeypatch, budget, rows, draws):
+    # budgets below, at and above one row's blocks, with a partial last chunk
+    indices = np.arange(rows, dtype=np.uint64) + 2**33 - 5
+    whole = uniforms(4, indices, draws)
+    monkeypatch.setattr(prng, "_PHILOX_CHUNK_BLOCKS", budget)
+    assert np.array_equal(uniforms(4, indices, draws), whole)
+
+
 def test_uniforms_pure_function_of_seed_and_index():
     a = uniforms(77, np.array([5, 900, 2**40]), 4)
     b = uniforms(77, np.array([5, 900, 2**40]), 4)

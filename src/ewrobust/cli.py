@@ -225,7 +225,7 @@ def cmd_decide(args) -> int:
     if args.radius == 0.0:
         decision = SAT if point_check(model, center, omega) else UNSAT
         print(decision, "(point check, r=0)")
-        successes = drawn = int(decision == SAT)
+        successes, drawn = int(decision == SAT), 1
         plan = None
     else:
         verdict = decide(query)
@@ -390,7 +390,8 @@ def _add_common(sub, *, sweep=False):
                      help="type I error bound")
     sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
                      help="type II error bound")
-    sub.add_argument("--batch", type=_POSITIVE_INT, default=256, help="samples per batch")
+    sub.add_argument("--batch", type=_POSITIVE_INT, default=256,
+                     help="largest number of samples per batch")
     if sweep:
         sub.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
                          help="query threads for heavy queries (default: usable CPUs); "

@@ -77,18 +77,42 @@ class RadiusResult:
     clamped: bool = False
 
 
+# The first batch holds this many times the fewest failures at which
+# early_reject can fire: a ball that misclassifies half its samples then
+# rejects inside the first batch with probability 0.999 at the CLI defaults
+# (8 failures, 32 rows), so an UNSAT query rarely forwards a full batch.
+FIRST_BATCH_FAILURES = 4
+
+
+def first_batch_size(plan: TestPlan, batch_size: int) -> int:
+    """Rows of a query's first batch: all N when they fit in one batch,
+    else min(batch_size, FIRST_BATCH_FAILURES * F), where F is the fewest
+    failures at which early_reject can fire.  It also ends at or before
+    N - F, below the ceil(cN) successes early_accept needs, but holds at
+    least one row."""
+    if plan.N <= batch_size:
+        return plan.N
+    # the same float product c*N that both stop rules compare against
+    failures = plan.N - math.ceil(plan.c * plan.N) + 1
+    return max(1, min(batch_size, FIRST_BATCH_FAILURES * failures, plan.N - failures))
+
+
 def decide_with_source(plan: TestPlan, source: IndicativeSource,
                        batch_size: int = 256) -> Verdict:
     """Run the stopping loop against an arbitrary deterministic 0/1 source.
 
     Early-stop rules are checked on prefix counts at batch boundaries; both
     rules are conclusive, so the verdict matches the full-N comparison for
-    every batch size.
+    every batch schedule.  The schedule is a short first batch (see
+    first_batch_size), then the partial batch, then full batches of
+    batch_size.  The first batch ends at or before N - F and every later
+    end before N lies at least batch_size below N, so a SAT verdict draws
+    exactly N whenever F <= batch_size.
     """
     successes = 0
     drawn = 0
+    count = first_batch_size(plan, batch_size)
     while True:
-        count = min(batch_size, plan.N - drawn)
         outcomes = source(np.arange(drawn, drawn + count, dtype=np.uint64))
         successes += int(np.sum(outcomes))
         drawn += count
@@ -97,6 +121,7 @@ def decide_with_source(plan: TestPlan, source: IndicativeSource,
             return Verdict(SAT, successes, drawn, plan, "early_accept")
         if early_reject(plan, running):
             return Verdict(UNSAT, successes, drawn, plan, "early_reject")
+        count = (plan.N - drawn - 1) % batch_size + 1
         # at drawn == N exactly one rule fires, so the loop always returns
 
 

@@ -91,6 +91,15 @@ _GAMMA_EPS = 1e-16
 _FPMIN = 1e-300
 
 
+def _gamma_prefactor(a: float, x: float) -> float:
+    return math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gamma_prefactor_array(a: float, x: np.ndarray) -> np.ndarray:
+    # per element through math: np.exp and np.log may differ in the last bit
+    return np.array([_gamma_prefactor(a, v) for v in x.tolist()])
+
+
 def _gamma_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
@@ -101,7 +110,7 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total * _gamma_prefactor(a, x)
 
 
 def _gamma_cf(a: float, x: float) -> float:
@@ -124,7 +133,7 @@ def _gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h * _gamma_prefactor(a, x)
 
 
 def reg_lower_incomplete_gamma(a: float, x: float) -> float:
@@ -144,8 +153,102 @@ def reg_lower_incomplete_gamma(a: float, x: float) -> float:
     return 1.0 - _gamma_cf(a, x)
 
 
+# The array paths run the scalar loops for all elements at once, with the
+# same operations in the same order, and keep each element's value from the
+# iteration where its scalar loop breaks, so they are bit-identical to
+# reg_lower_incomplete_gamma (a is shared, so ap and an stay Python floats).
+# They run _GAMMA_BLOCK iterations at a time and find the breaks once per
+# block; multiply.accumulate and add.accumulate run left to right, so they
+# give the scalar loop's running products and sums.
+_GAMMA_BLOCK = 16
+# below this many elements numpy's per-call overhead outweighs the scalar loop
+_GAMMA_ARRAY_MIN = 64
+
+
+def _first_break(done: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(finished, iteration) per column of a (block, live) break mask."""
+    stop = done.argmax(axis=0)
+    return done[stop, np.arange(done.shape[1])], stop
+
+
+def _gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    total = np.empty_like(x)
+    live = np.arange(x.size)
+    ap = a
+    term = np.full(x.size, 1.0 / a)
+    acc = term.copy()
+    for first in range(0, _GAMMA_ITMAX, _GAMMA_BLOCK):
+        aps = []
+        for _ in range(min(_GAMMA_BLOCK, _GAMMA_ITMAX - first)):
+            ap += 1.0
+            aps.append(ap)
+        # terms[k] = term * x/ap_1 * ... * x/ap_k; sums[k] = acc + terms[0] + ... + terms[k]
+        terms = x[live] / np.array(aps)[:, None]
+        terms[0] *= term
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        sums = terms.copy()
+        sums[0] += acc
+        np.add.accumulate(sums, axis=0, out=sums)
+        fin, stop = _first_break(np.abs(terms) < np.abs(sums) * _GAMMA_EPS)
+        total[live[fin]] = sums[stop[fin], fin.nonzero()[0]]
+        keep = ~fin
+        live, term, acc = live[keep], terms[-1, keep], sums[-1, keep]
+        if not live.size:
+            return total
+    total[live] = acc
+    return total
+
+
+def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
+    # the modified Lentz recurrences of _gamma_cf
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    b = x + 1.0 - a
+    c = np.full(x.size, 1.0 / _FPMIN)
+    d = 1.0 / b
+    h = d.copy()
+    for first in range(1, _GAMMA_ITMAX + 1, _GAMMA_BLOCK):
+        deltas = np.empty((min(_GAMMA_BLOCK, _GAMMA_ITMAX + 1 - first), live.size))
+        for k, i in enumerate(range(first, first + deltas.shape[0])):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d[np.abs(d) < _FPMIN] = _FPMIN
+            c = b + an / c
+            c[np.abs(c) < _FPMIN] = _FPMIN
+            d = 1.0 / d
+            np.multiply(d, c, out=deltas[k])
+        fin, stop = _first_break(np.abs(deltas - 1.0) < _GAMMA_EPS)
+        deltas[0] *= h
+        hs = np.multiply.accumulate(deltas, axis=0, out=deltas)
+        out[live[fin]] = hs[stop[fin], fin.nonzero()[0]]
+        keep = ~fin
+        live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], hs[-1, keep]
+        if not live.size:
+            return out
+    out[live] = h
+    return out
+
+
 def reg_lower_incomplete_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) over an array of arguments with a common shape parameter."""
+    """P(a, x) over an array of arguments with a common shape parameter,
+    bit-identical to reg_lower_incomplete_gamma element by element."""
+    if a <= 0.0:
+        raise ValueError(f"shape parameter must be positive, got {a!r}")
     x = np.asarray(x, dtype=np.float64)
-    return np.array([reg_lower_incomplete_gamma(a, float(v)) for v in x.ravel()],
-                    dtype=np.float64).reshape(x.shape)
+    flat = x.ravel()
+    if flat.size < _GAMMA_ARRAY_MIN:
+        return np.array([reg_lower_incomplete_gamma(a, v) for v in flat.tolist()],
+                        dtype=np.float64).reshape(x.shape)
+    if (flat < 0.0).any():
+        raise ValueError("argument must be non-negative")
+    out = np.zeros_like(flat)
+    below = flat < a + 1.0
+    series = below & (flat != 0.0)
+    if series.any():
+        xs = flat[series]
+        out[series] = _gamma_series_array(a, xs) * _gamma_prefactor_array(a, xs)
+    if not below.all():
+        xs = flat[~below]
+        out[~below] = 1.0 - _gamma_cf_array(a, xs) * _gamma_prefactor_array(a, xs)
+    return out.reshape(x.shape)

@@ -81,6 +81,30 @@ class TestDecide:
         assert rc == 0
         assert "point check" in capsys.readouterr().out
 
+    def test_unsat_point_check_reports_one_sample(self, threshold_model_file, tmp_path):
+        # x0 = 1.0 > 0.5 is label 1, so omega {0} rejects the center itself
+        center = tmp_path / "center.csv"
+        center.write_text("1.0,0.0\n")
+        out = tmp_path / "decide.csv"
+        rc = main(["decide", "--model", threshold_model_file, "--input", str(center),
+                   "--radius", "0", "--eps", "0.2", "--omega", "0", "--out", str(out)])
+        assert rc == 0
+        assert body_lines(out)[1].rstrip("\n").endswith(",UNSAT,0,1")
+
+    def test_unsat_first_batch_is_four_times_the_reject_failures(
+            self, threshold_model_file, tmp_path):
+        # every sample of the ball has x0 > 0.5, so every sample fails; at
+        # the defaults (eps 0.01, N = 891) early_reject fires at 8 failures
+        # and the first batch holds 32 rows
+        center = tmp_path / "center.csv"
+        center.write_text("1.0,0.0\n")
+        out = tmp_path / "decide.csv"
+        rc = main(["decide", "--model", threshold_model_file, "--input", str(center),
+                   "--radius", "0.1", "--eps", "0.01", "--omega", "0", "--out", str(out)])
+        assert rc == 0
+        row = body_lines(out)[1].rstrip("\n").split(",")
+        assert row[3:] == ["UNSAT", "0", "32"]
+
     def test_missing_radius_is_usage_error(self, threshold_model_file, center_file,
                                            capsys):
         rc = main(["decide", "--model", threshold_model_file, "--input", center_file,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dense_model
@@ -107,6 +107,87 @@ class TestDecideWithSource:
             full = int(source(np.arange(plan.N, dtype=np.uint64)).sum())
             expect = SAT if full >= plan.c * plan.N else UNSAT
             assert verdict.decision == expect
+
+
+def recording(source):
+    """(source, sizes): the source, and the list of batch sizes it is asked for."""
+    sizes = []
+
+    def recorded(indices):
+        sizes.append(indices.size)
+        return source(indices)
+    return recorded, sizes
+
+
+def constant_source(value: int):
+    return lambda idx: np.full(idx.size, value, dtype=np.int64)
+
+
+def reject_failures(plan: TestPlan) -> int:
+    """F, the fewest failures at which early_reject can fire."""
+    return plan.N - math.ceil(plan.c * plan.N) + 1
+
+
+class TestBatchSchedule:
+    def test_defaults_sat_runs_short_then_partial_then_full(self):
+        plan = plan_test(0.01, BUDGET)
+        assert (plan.N, reject_failures(plan)) == (891, 8)
+        source, sizes = recording(constant_source(1))
+        verdict = decide_with_source(plan, source, batch_size=256)
+        assert sizes == [32, 91, 256, 256, 256]
+        assert (verdict.decision, verdict.samples_drawn) == (SAT, 891)
+
+    def test_defaults_unsat_stops_in_first_batch(self):
+        plan = plan_test(0.01, BUDGET)
+        source, sizes = recording(constant_source(0))
+        verdict = decide_with_source(plan, source, batch_size=256)
+        assert sizes == [32]
+        assert (verdict.decision, verdict.successes, verdict.samples_drawn) == (UNSAT, 0, 32)
+
+    @pytest.mark.parametrize("epsilon, alpha, first", [
+        (0.001, 0.001, 36),  # F = 9
+        (0.1, 0.05, 256),    # F = 327: a full --batch, as before
+    ])
+    def test_first_batch_size(self, epsilon, alpha, first):
+        plan = plan_test(epsilon, ErrorBudget(alpha, alpha))
+        assert decision.first_batch_size(plan, 256) == first
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_one_batch_of_n_when_it_fits(self, value):
+        plan = plan_test(0.2, ErrorBudget(0.05, 0.05), epsilon_prime=0.1)
+        for batch_size in (plan.N, plan.N + 1, 1024):
+            source, sizes = recording(constant_source(value))
+            decide_with_source(plan, source, batch_size=batch_size)
+            assert sizes == [plan.N]
+
+    def test_sat_draws_n_when_first_batch_could_reach_ceil_cn(self):
+        # eps 0.5: N = 642 and F = 320, so a 400-row first batch could hold
+        # the ceil(cN) = 323 successes early_accept needs; it ends at N - F
+        plan = plan_test(0.5, ErrorBudget(0.4, 0.4))
+        assert (plan.N, reject_failures(plan)) == (642, 320)
+        source, sizes = recording(constant_source(1))
+        verdict = decide_with_source(plan, source, batch_size=400)
+        assert sizes == [322, 320]
+        assert (verdict.decision, verdict.samples_drawn) == (SAT, 642)
+
+    @given(st.floats(0.02, 0.9), st.floats(0.2, 0.9), st.floats(0.01, 0.45),
+           st.floats(0.01, 0.45), st.floats(0.0, 1.2), st.floats(0.0, 1.0),
+           st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_schedule_keeps_verdict(self, epsilon, prime_share, alpha, beta,
+                                    batch_share, p, seed):
+        plan = plan_test(epsilon, ErrorBudget(alpha, beta), epsilon * prime_share)
+        assume(plan.N <= 3000)
+        batch_size = 1 + int(batch_share * plan.N)
+        # success rates near c, where most verdicts are decided late
+        bernoulli = bernoulli_source(plan.c + (p - 0.5) * 0.1, seed)
+        source, sizes = recording(bernoulli)
+        verdict = decide_with_source(plan, source, batch_size=batch_size)
+        assert verdict.decision == decide_with_source(plan, bernoulli, batch_size=1).decision
+        assert verdict.samples_drawn == sum(sizes) <= plan.N
+        assert max(sizes) <= batch_size
+        if verdict.decision == SAT and reject_failures(plan) <= batch_size:
+            assert verdict.samples_drawn == plan.N
 
 
 class TestDecide:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from ewrobust import special
 from ewrobust.special import (inv_norm_cdf, inv_norm_cdf_array, norm_cdf,
                               reg_lower_incomplete_gamma,
                               reg_lower_incomplete_gamma_array)
@@ -81,3 +82,66 @@ class TestRegLowerIncompleteGamma:
         assert out.shape == xs.shape
         assert out[0] == 0.0
         assert np.all(np.diff(out) > 0)
+
+
+def scalar_gamma(a, x):
+    return np.array([reg_lower_incomplete_gamma(a, float(v)) for v in x])
+
+
+class TestRegLowerIncompleteGammaArray:
+    """The array path must give the scalar function's bits, element by element."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 5.0, 50.0, 392.0])
+    def test_bits_equal_scalar(self, a):
+        rng = np.random.default_rng(3)
+        # x = 0; series elements breaking early (tiny x) and late (x near a);
+        # continued-fraction elements breaking early (x far above a) and late
+        # (x just above a + 1): both branches and both ends in one call
+        x = np.concatenate([[0.0, 0.0, 5e-324, 1e-300, a + 1.0, np.nextafter(a + 1.0, 0.0)],
+                            10.0 ** rng.uniform(-30, 0, 40) * a,
+                            rng.uniform(0.5 * a, a + 1.0, 100),
+                            rng.uniform(a + 1.0, 1.5 * a + 2.0, 100),
+                            rng.uniform(10.0 * a + 10.0, 1e4, 40)])
+        rng.shuffle(x)
+        got = reg_lower_incomplete_gamma_array(a, x)
+        assert np.array_equal(got, scalar_gamma(a, x))
+
+    def test_bits_equal_scalar_on_sampler_inputs(self):
+        # the l2 radius law calls it with a = n/2 on half the squared norm of
+        # n Gaussian coordinates
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 10, 100, 784):
+            s = (rng.normal(size=(300, n)) ** 2).sum(axis=1) / 2.0
+            assert np.array_equal(reg_lower_incomplete_gamma_array(n / 2.0, s),
+                                  scalar_gamma(n / 2.0, s))
+
+    def test_bits_equal_scalar_when_clamps_fire(self, monkeypatch):
+        # a large floor makes the Lentz clamps fire often; both paths read it
+        monkeypatch.setattr(special, "_FPMIN", 10.0)
+        x = np.random.default_rng(5).uniform(4.0, 20.0, 200)
+        assert np.array_equal(reg_lower_incomplete_gamma_array(3.0, x),
+                              scalar_gamma(3.0, x))
+
+    def test_bits_equal_scalar_when_loops_never_break(self, monkeypatch):
+        # 20 iterations: one full block and a partial one, and many elements
+        # still unconverged at the last iteration
+        monkeypatch.setattr(special, "_GAMMA_ITMAX", 20)
+        x = np.random.default_rng(6).uniform(0.0, 400.0, 300)
+        assert np.array_equal(reg_lower_incomplete_gamma_array(200.0, x),
+                              scalar_gamma(200.0, x))
+
+    def test_small_arrays_and_shapes(self):
+        x = np.linspace(0.0, 10.0, 130).reshape(10, 13)
+        for part in (x[:1, :5], x[:3], x, np.zeros((2, 0))):
+            got = reg_lower_incomplete_gamma_array(2.5, part)
+            assert got.shape == part.shape
+            assert np.array_equal(got.ravel(), scalar_gamma(2.5, part.ravel()))
+
+    @pytest.mark.parametrize("size", [3, 200])
+    def test_domain(self, size):
+        with pytest.raises(ValueError):
+            reg_lower_incomplete_gamma_array(0.0, np.ones(size))
+        x = np.ones(size)
+        x[-1] = -0.5
+        with pytest.raises(ValueError):
+            reg_lower_incomplete_gamma_array(1.0, x)

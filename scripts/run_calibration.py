@@ -1,38 +1,19 @@
 #!/usr/bin/env python3
-"""Measure empirical type I / type II error rates at the test's operating
-points, using a threshold classifier whose success probability is exact.
+"""Exact type I / type II error rates of the test at its two operating points.
 
-At p_r = 1 - eps' the nominal bound on the UNSAT (type I) rate is alpha; at
-p_r = 1 - eps the nominal bound on the SAT (type II) rate is beta.  This
-script reports the measured rates so the gap between the nominal bounds and
-the verbatim-formula behavior is visible (see the decisions ledger / README
-for the analysis of why the measured rates exceed the bounds).
+Both stop rules are conclusive, so a query is SAT exactly when its N-sample
+success count reaches K = ceil(c*N), and P(SAT | p) is a binomial tail.  At
+p = 1 - eps' the nominal bound on the UNSAT (type I) rate is alpha; at
+p = 1 - eps the nominal bound on the SAT (type II) rate is beta.  This
+script prints the exact rates so the gap between the nominal bounds and the
+verbatim-formula behavior is visible (see README for why the rates exceed
+the bounds).
 """
 
 import argparse
 import sys
 
-import numpy as np
-
-from ewrobust.decision import RobustnessQuery, decide
-from ewrobust.gadgets import threshold_classifier, threshold_fraction
-from ewrobust.prng import derive_subseed
-from ewrobust.stats import ErrorBudget, plan_test
-
-
-def measure(p_r: float, eps: float, budget: ErrorBudget, runs: int,
-            seed: int) -> dict[str, float]:
-    t = 2.0 * p_r - 1.0  # linf ball [-1, 1] on one coordinate
-    assert abs(threshold_fraction(0.0, 1.0, t) - p_r) < 1e-12
-    model = threshold_classifier(1, 0, t)
-    sat = 0
-    for run in range(runs):
-        query = RobustnessQuery(
-            model=model, center=np.zeros(1), radius=1.0, norm="inf",
-            epsilon=eps, omega=frozenset({0}), budget=budget,
-            seed=derive_subseed(seed, run), batch_size=4096)
-        sat += int(decide(query).decision == "SAT")
-    return {"p_r": p_r, "sat_rate": sat / runs, "unsat_rate": 1.0 - sat / runs}
+from ewrobust.stats import ErrorBudget, plan_test, sat_probability
 
 
 def main() -> int:
@@ -40,21 +21,16 @@ def main() -> int:
     parser.add_argument("--eps", type=float, default=0.1)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--beta", type=float, default=0.05)
-    parser.add_argument("--runs", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=986)
     args = parser.parse_args()
 
-    budget = ErrorBudget(args.alpha, args.beta)
-    plan = plan_test(args.eps, budget)
-    print(f"plan: N={plan.N} c={plan.c:.6f} eps={plan.epsilon} "
-          f"eps_prime={plan.epsilon_prime}")
-
-    upper = measure(1.0 - plan.epsilon_prime, args.eps, budget, args.runs, args.seed)
-    lower = measure(1.0 - plan.epsilon, args.eps, budget, args.runs, args.seed + 1)
-    print(f"at p_r = 1-eps' = {upper['p_r']}: UNSAT rate = "
-          f"{upper['unsat_rate']:.4f} (nominal bound alpha = {args.alpha})")
-    print(f"at p_r = 1-eps  = {lower['p_r']}: SAT rate   = "
-          f"{lower['sat_rate']:.4f} (nominal bound beta  = {args.beta})")
+    plan = plan_test(args.eps, ErrorBudget(args.alpha, args.beta))
+    print(f"plan: N={plan.N} c={plan.c:.6f} K={plan.accept_successes} "
+          f"eps={plan.epsilon} eps_prime={plan.epsilon_prime}")
+    upper, lower = 1.0 - plan.epsilon_prime, 1.0 - plan.epsilon
+    print(f"at p_r = 1-eps' = {upper}: UNSAT rate = "
+          f"{1.0 - sat_probability(plan, upper):.4f} (nominal bound alpha = {args.alpha})")
+    print(f"at p_r = 1-eps  = {lower}: SAT rate   = "
+          f"{sat_probability(plan, lower):.4f} (nominal bound beta  = {args.beta})")
     return 0
 
 

@@ -13,20 +13,20 @@ from .gadgets import (CnfFormula, GadgetNetwork, build_gadget, corner_source,
                       count_satisfying, parse_dimacs, threshold_classifier,
                       threshold_fraction)
 from .nn import (NetworkModel, NumericOverflowError, ShapeMismatchError, dump_model,
-                 forward, indicative, load_model, predict, tensor)
+                 forward, indicative, load_model, predict)
 from .sampling import BallSpec, SampleStream, sample_batch
 from .special import inv_norm_cdf, reg_lower_incomplete_gamma
-from .stats import (ErrorBudget, RunningCount, TestPlan, choose_epsilon_prime,
-                    early_accept, early_reject, plan_test)
+from .stats import (ErrorBudget, TestPlan, choose_epsilon_prime, early_accept,
+                    early_reject, plan_test, sat_probability)
 
 __all__ = [
     "BallSpec", "CenterMisclassifiedError", "CnfFormula", "ErrorBudget",
     "GadgetNetwork", "NetworkModel", "NumericOverflowError", "RadiusResult",
-    "RobustnessQuery", "RunningCount", "SampleStream", "ShapeMismatchError",
+    "RobustnessQuery", "SampleStream", "ShapeMismatchError",
     "TestPlan", "Verdict", "build_gadget", "choose_epsilon_prime", "corner_source",
     "count_satisfying", "decide", "decide_with_source", "dump_model", "early_accept",
     "early_reject", "evaluate", "forward", "indicative", "inv_norm_cdf", "load_model",
     "parse_dimacs", "plan_test", "point_check", "predict",
-    "reg_lower_incomplete_gamma", "sample_batch", "tensor", "threshold_classifier",
-    "threshold_fraction",
+    "reg_lower_incomplete_gamma", "sample_batch", "sat_probability",
+    "threshold_classifier", "threshold_fraction",
 ]

@@ -6,7 +6,7 @@ with class summaries), gadget (CNF to model file), sample (raw sampler dump).
 
 Exit codes: 0 success, 2 usage error, 3 runtime error.  Every flag value is
 checked before any work: by its argparse type, or when the run's one
-prototype query and test plan are built.
+prototype query (with its test plan) is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
 from .gadgets import DimacsError, build_gadget, parse_dimacs
 from .nn import ModelError, _usable_cpus, dump_model, load_model, madds_per_row, predict
 from .prng import derive_subseed
-from .stats import ErrorBudget, plan_test
+from .stats import ErrorBudget
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
@@ -159,12 +159,11 @@ def _resolve_omega(args, model, center, gold):
 
 
 def _prototype(args, model, center, omega, radius=0.0):
-    """The run's query and test plan, built before any work; every point and
-    probe varies only center, omega, seed and radius.  A flag value the plan
-    or the query rejects is a usage error."""
+    """The run's query, built before any work; every point and probe varies
+    only center, omega, seed and radius.  A flag value the query or its test
+    plan rejects is a usage error."""
     try:
         budget = ErrorBudget(args.alpha, args.beta)
-        plan = plan_test(args.eps, budget, args.eps_prime)
         query = RobustnessQuery(
             model=model, center=center, radius=radius, norm=args.norm,
             epsilon=args.eps, omega=omega, budget=budget, seed=args.seed,
@@ -172,24 +171,22 @@ def _prototype(args, model, center, omega, radius=0.0):
             clamp=_parse_clamp(args.clamp) if args.clamp else None)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return query, plan
+    return query
 
 
 def _load_sweep(args, command):
-    """Model, dataset, --omega override, prototype query and test plan of
-    curve/radii."""
+    """Model, dataset, --omega override and prototype query of curve/radii."""
     model = _load_model_file(args.model)
     if args.dataset is None or args.labels is None or args.shape is None:
         raise UsageError(f"{command} needs --dataset, --labels and --shape")
     dataset = load_dataset(args.dataset, args.labels,
                            _parse_shape(args.shape), model.num_labels)
     omega = _parse_omega(args.omega) if args.omega else None
-    query, plan = _prototype(args, model, dataset.inputs[0],
-                             omega or {int(dataset.labels[0])})
-    return model, dataset, omega, query, plan
+    query = _prototype(args, model, dataset.inputs[0], omega or {int(dataset.labels[0])})
+    return model, dataset, omega, query
 
 
-def _map_queries(args, model, plan, fn, items) -> list:
+def _map_queries(args, prototype, fn, items) -> list:
     """[fn(item) for item in items], on a pool of query threads only when
     more than one worker may run and one batch's forward pass (min(--batch,
     N) rows) reaches QUERY_THREAD_MADDS multiply-adds.  Otherwise in order on
@@ -197,7 +194,8 @@ def _map_queries(args, model, plan, fn, items) -> list:
     Queries are independent and their samples counter-based, so the results
     do not depend on which way they run."""
     workers = min(args.workers, _usable_cpus())
-    if workers < 2 or min(args.batch, plan.N) * madds_per_row(model) < QUERY_THREAD_MADDS:
+    rows = min(args.batch, prototype.plan.N)
+    if workers < 2 or rows * madds_per_row(prototype.model) < QUERY_THREAD_MADDS:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -220,7 +218,8 @@ def cmd_decide(args) -> int:
     model = _load_model_file(args.model)
     center, gold = _load_center(args, model)
     omega = _resolve_omega(args, model, center, gold)
-    query, plan = _prototype(args, model, center, omega, args.radius)
+    query = _prototype(args, model, center, omega, args.radius)
+    plan = query.plan
     t0 = time.perf_counter()
     if args.radius == 0.0:
         decision = SAT if point_check(model, center, omega) else UNSAT
@@ -249,7 +248,7 @@ def cmd_evaluate(args) -> int:
     model = _load_model_file(args.model)
     center, gold = _load_center(args, model)
     omega = _resolve_omega(args, model, center, gold)
-    query, _ = _prototype(args, model, center, omega)
+    query = _prototype(args, model, center, omega)
     result = evaluate(query, args.radius_max, args.precision)
     print(f"r_star={fmt(result.r_star)} probes={len(result.probes)}")
     for r, verdict in result.probes:
@@ -264,7 +263,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    model, dataset, omega, prototype, plan = _load_sweep(args, "curve")
+    model, dataset, omega, prototype = _load_sweep(args, "curve")
     grid = _parse_grid(args)
 
     keep = list(range(len(dataset)))
@@ -287,7 +286,7 @@ def cmd_curve(args) -> int:
 
     rows = []
     for ri, radius in enumerate(grid):
-        n_sat = sum(_map_queries(args, model, plan, lambda pi: point(ri, radius, pi), keep))
+        n_sat = sum(_map_queries(args, prototype, lambda pi: point(ri, radius, pi), keep))
         rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
     write_report(args.out or sys.stdout, _run_metadata(args),
                  ["radius", "n_points", "n_sat", "fraction_sat"], rows)
@@ -295,7 +294,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    model, dataset, omega, prototype, plan = _load_sweep(args, "radii")
+    model, dataset, omega, prototype = _load_sweep(args, "radii")
 
     def point(pi):
         gold = int(dataset.labels[pi])
@@ -306,10 +305,10 @@ def cmd_radii(args) -> int:
         except CenterMisclassifiedError:
             return gold, None  # flagged, excluded from summaries
 
-    results = _map_queries(args, model, plan, point, range(len(dataset)))
+    results = _map_queries(args, prototype, point, range(len(dataset)))
     rows = []
     by_class: dict[int, list[float]] = {}
-    for pid, (gold, r_star) in zip(dataset.ids, results):
+    for pid, (gold, r_star) in enumerate(results):
         flagged = r_star is None
         rows.append(["point", pid, gold,
                      None if flagged else r_star, int(flagged), None, None])

@@ -17,17 +17,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DatasetSlice:
-    """Uniformly shaped inputs with gold labels and stable row ids."""
+    """Uniformly shaped inputs with their gold labels, one per row."""
     inputs: np.ndarray  # (count, *shape)
     labels: np.ndarray  # (count,) int
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.inputs) != len(self.labels) or len(self.labels) != len(self.ids):
-            raise ValueError("inputs, labels and ids must have equal length")
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.labels)
 
 
 def _load_rows(path: str, **loadtxt) -> np.ndarray:
@@ -63,7 +58,7 @@ def load_dataset(inputs_path: str, labels_path: str, shape: tuple[int, ...],
                  num_labels: int) -> DatasetSlice:
     inputs = load_inputs(inputs_path, shape)
     labels = load_labels(labels_path, len(inputs), num_labels)
-    return DatasetSlice(inputs, labels, tuple(range(len(inputs))))
+    return DatasetSlice(inputs, labels)
 
 
 def fmt(value) -> str:

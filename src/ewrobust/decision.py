@@ -9,15 +9,15 @@ semantics of the full model+sampler pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import sampling
-from .nn import NetworkModel, indicative
+from .nn import NetworkModel, indicative, label_mask
 from .prng import derive_subseed
-from .stats import ErrorBudget, RunningCount, TestPlan, early_accept, early_reject, plan_test
+from .stats import ErrorBudget, TestPlan, early_accept, early_reject, plan_test
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -43,16 +43,15 @@ class RobustnessQuery:
     batch_size: int = 256
     epsilon_prime: float | None = None
     clamp: tuple[float, float] | None = None
+    plan: TestPlan = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "plan",
+                           plan_test(self.epsilon, self.budget, self.epsilon_prime))
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=np.float64).ravel())
         object.__setattr__(self, "omega", frozenset(int(l) for l in self.omega))
-        if not self.omega:
-            raise ValueError("omega must be non-empty")
-        if any(l < 0 or l >= self.model.num_labels for l in self.omega):
-            raise ValueError(f"omega {sorted(self.omega)} contains labels outside "
-                             f"[0, {self.model.num_labels})")
+        label_mask(self.model, self.omega)
         if not 0 <= self.radius < math.inf:
             raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
         if self.batch_size < 1:
@@ -72,9 +71,6 @@ class Verdict:
 class RadiusResult:
     r_star: float
     probes: tuple[tuple[float, Verdict], ...]
-    precision: float
-    radius_max: float
-    clamped: bool = False
 
 
 # The first batch holds this many times the fewest failures at which
@@ -86,14 +82,12 @@ FIRST_BATCH_FAILURES = 4
 
 def first_batch_size(plan: TestPlan, batch_size: int) -> int:
     """Rows of a query's first batch: all N when they fit in one batch,
-    else min(batch_size, FIRST_BATCH_FAILURES * F), where F is the fewest
-    failures at which early_reject can fire.  It also ends at or before
-    N - F, below the ceil(cN) successes early_accept needs, but holds at
-    least one row."""
+    else min(batch_size, FIRST_BATCH_FAILURES * F), where F is the plan's
+    reject_failures.  It also ends at or before N - F, below the K
+    successes early_accept needs, but holds at least one row."""
     if plan.N <= batch_size:
         return plan.N
-    # the same float product c*N that both stop rules compare against
-    failures = plan.N - math.ceil(plan.c * plan.N) + 1
+    failures = plan.reject_failures
     return max(1, min(batch_size, FIRST_BATCH_FAILURES * failures, plan.N - failures))
 
 
@@ -116,10 +110,9 @@ def decide_with_source(plan: TestPlan, source: IndicativeSource,
         outcomes = source(np.arange(drawn, drawn + count, dtype=np.uint64))
         successes += int(np.sum(outcomes))
         drawn += count
-        running = RunningCount(successes, drawn)
-        if early_accept(plan, running):
+        if early_accept(plan, successes):
             return Verdict(SAT, successes, drawn, plan, "early_accept")
-        if early_reject(plan, running):
+        if early_reject(plan, successes, drawn):
             return Verdict(UNSAT, successes, drawn, plan, "early_reject")
         count = (plan.N - drawn - 1) % batch_size + 1
         # at drawn == N exactly one rule fires, so the loop always returns
@@ -143,8 +136,7 @@ def model_source(query: RobustnessQuery) -> IndicativeSource:
 def decide(query: RobustnessQuery) -> Verdict:
     """SAT iff the sampled wrong-classification fraction stays below the
     epsilon budget, with the query's type I/II error contract."""
-    plan = plan_test(query.epsilon, query.budget, query.epsilon_prime)
-    return decide_with_source(plan, model_source(query), query.batch_size)
+    return decide_with_source(query.plan, model_source(query), query.batch_size)
 
 
 def point_check(model: NetworkModel, center: np.ndarray, omega) -> bool:
@@ -190,5 +182,4 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
             r_min = r
         else:
             r_max = r
-    return RadiusResult(r_min, tuple(probes), precision, radius_max,
-                        clamped=query.clamp is not None)
+    return RadiusResult(r_min, tuple(probes))

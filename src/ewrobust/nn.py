@@ -34,21 +34,6 @@ class NumericOverflowError(ModelError):
     """A forward pass produced a non-finite intermediate value."""
 
 
-def tensor(data, shape=None) -> np.ndarray:
-    """Validated float64 tensor: finite everywhere, size matching shape."""
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(d) for d in shape)
-        if any(d <= 0 for d in shape):
-            raise ValueError(f"dimensions must be positive, got {shape}")
-        if arr.size != math.prod(shape):
-            raise ValueError(f"data length {arr.size} does not match shape {shape}")
-        arr = arr.reshape(shape)
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor contains non-finite values")
-    return arr
-
-
 # bytes of the products of one block of dense input columns
 _DENSE_BLOCK_BYTES = 256 * 1024
 
@@ -344,18 +329,24 @@ def predict(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
     return np.argmax(forward(model, batch), axis=1)
 
 
-def indicative(model: NetworkModel, batch: np.ndarray, omega) -> np.ndarray:
-    """1 where the predicted label lies in omega, else 0 (per row)."""
+def label_mask(model: NetworkModel, omega) -> np.ndarray:
+    """0/1 per label of the model, 1 for the labels in omega; raises unless
+    omega is a non-empty set of the model's labels."""
     omega = frozenset(int(l) for l in omega)
     if not omega:
         raise ValueError("omega must be non-empty")
     if any(l < 0 or l >= model.num_labels for l in omega):
         raise ValueError(f"omega {sorted(omega)} contains labels outside "
                          f"[0, {model.num_labels})")
-    labels = predict(model, batch)
     mask = np.zeros(model.num_labels, dtype=np.int64)
     mask[list(omega)] = 1
-    return mask[labels]
+    return mask
+
+
+def indicative(model: NetworkModel, batch: np.ndarray, omega) -> np.ndarray:
+    """1 where the predicted label lies in omega, else 0 (per row)."""
+    mask = label_mask(model, omega)
+    return mask[predict(model, batch)]
 
 
 # --- JSON model format ------------------------------------------------------

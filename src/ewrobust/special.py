@@ -140,14 +140,16 @@ def reg_lower_incomplete_gamma(a: float, x: float) -> float:
     """P(a, x), the regularized lower incomplete gamma function.
 
     Series expansion for x < a + 1, continued fraction for the complement
-    otherwise; relative accuracy ~1e-14.
+    otherwise; relative accuracy ~1e-14.  P(a, inf) = 1.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"shape parameter must be positive, got {a!r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be non-negative, got {x!r}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x < a + 1.0:
         return _gamma_series(a, x)
     return 1.0 - _gamma_cf(a, x)
@@ -233,14 +235,14 @@ def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
 def reg_lower_incomplete_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
     """P(a, x) over an array of arguments with a common shape parameter,
     bit-identical to reg_lower_incomplete_gamma element by element."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"shape parameter must be positive, got {a!r}")
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     if flat.size < _GAMMA_ARRAY_MIN:
         return np.array([reg_lower_incomplete_gamma(a, v) for v in flat.tolist()],
                         dtype=np.float64).reshape(x.shape)
-    if (flat < 0.0).any():
+    if not (flat >= 0.0).all():
         raise ValueError("argument must be non-negative")
     out = np.zeros_like(flat)
     below = flat < a + 1.0
@@ -248,7 +250,9 @@ def reg_lower_incomplete_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
     if series.any():
         xs = flat[series]
         out[series] = _gamma_series_array(a, xs) * _gamma_prefactor_array(a, xs)
-    if not below.all():
-        xs = flat[~below]
-        out[~below] = 1.0 - _gamma_cf_array(a, xs) * _gamma_prefactor_array(a, xs)
+    out[flat == math.inf] = 1.0
+    fraction = ~below & (flat < math.inf)
+    if fraction.any():
+        xs = flat[fraction]
+        out[fraction] = 1.0 - _gamma_cf_array(a, xs) * _gamma_prefactor_array(a, xs)
     return out.reshape(x.shape)

@@ -12,12 +12,14 @@ z_b = Phi^-1(1-beta),
 The decision accepts (SAT) when the success count S reaches c*N and rejects
 (UNSAT) as soon as even all-successes over the remaining draws could not
 reach c*N; both rules are conclusive for the full-N comparison S/N >= c.
+For an integer S, S >= c*N exactly when S >= K = ceil(c*N), so the plan
+carries K and F = N - K + 1, the fewest failures that rule out K successes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .special import inv_norm_cdf
 
@@ -44,6 +46,8 @@ class TestPlan:
     z_one_minus_beta: float
     N: int
     c: float
+    accept_successes: int = field(init=False)  # K = ceil(c*N)
+    reject_failures: int = field(init=False)   # F = N - K + 1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_prime < self.epsilon:
@@ -52,18 +56,9 @@ class TestPlan:
             raise ValueError("N violates the large-sample condition")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"threshold c must lie in (0, 1), got {self.c}")
-
-
-@dataclass(frozen=True)
-class RunningCount:
-    """Prefix success count: S successes out of the first `drawn` samples."""
-    successes: int
-    drawn: int
-
-    def __post_init__(self):
-        if not 0 <= self.successes <= self.drawn:
-            raise ValueError(f"need 0 <= successes <= drawn, "
-                             f"got {self.successes}, {self.drawn}")
+        k = math.ceil(self.c * self.N)
+        object.__setattr__(self, "accept_successes", k)
+        object.__setattr__(self, "reject_failures", self.N - k + 1)
 
 
 def choose_epsilon_prime(epsilon: float) -> float:
@@ -93,21 +88,33 @@ def plan_test(epsilon: float, budget: ErrorBudget,
     return TestPlan(epsilon, epsilon_prime, z_alpha, z_one_minus_beta, n, c)
 
 
-def early_accept(plan: TestPlan, count: RunningCount) -> bool:
-    """True once S >= c*N: no completion of the run can flip the verdict."""
-    if count.drawn > plan.N:
-        raise ValueError(f"drawn {count.drawn} exceeds plan N {plan.N}")
-    return count.successes >= plan.c * plan.N
+def early_accept(plan: TestPlan, successes: int) -> bool:
+    """True once S >= K: no completion of the run can flip the verdict."""
+    return successes >= plan.accept_successes
 
 
-def early_reject(plan: TestPlan, count: RunningCount) -> bool:
-    """True once S < (c-1)*N + i: even all-successes ahead cannot reach c*N.
+def early_reject(plan: TestPlan, successes: int, drawn: int) -> bool:
+    """True once the failures reach F: even all-successes over the remaining
+    draws cannot reach K."""
+    return drawn - successes >= plan.reject_failures
 
-    Evaluated in the equivalent form S + (N - i) < c*N so both stopping rules
-    compare against the identical float product c*N; the printed form
-    (c-1)*N + i computes the same bound with a cancellation error that can
-    fire one draw early at exact integer boundaries of c*N.
-    """
-    if count.drawn > plan.N:
-        raise ValueError(f"drawn {count.drawn} exceeds plan N {plan.N}")
-    return count.successes + (plan.N - count.drawn) < plan.c * plan.N
+
+def sat_probability(plan: TestPlan, p: float) -> float:
+    """P(SAT) when each sample succeeds with probability p: both stop rules
+    are conclusive, so the verdict is SAT exactly when S_N >= K, and
+    P(SAT) = P(Binom(N, p) >= K), summed from log-space terms."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"success probability must lie in [0, 1], got {p}")
+    n, k = plan.N, plan.accept_successes
+    if p == 0.0 or p == 1.0:
+        return float(k <= n * p)
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+
+    def term(j):
+        return math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        + j * log_p + (n - j) * log_q)
+    # sum the smaller tail, so that a result near 0 or near 1 keeps the
+    # relative accuracy of the tail beyond it
+    if k > n * p:
+        return math.fsum(term(j) for j in range(k, n + 1))
+    return 1.0 - math.fsum(term(j) for j in range(k))

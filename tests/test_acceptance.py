@@ -23,8 +23,7 @@ from ewrobust.prng import derive_subseed
 from ewrobust.sampling import (L1, L2, LINF, NORMS, BallSpec, SampleStream,
                                ball_norm, sample_batch)
 from ewrobust.special import inv_norm_cdf, norm_cdf
-from ewrobust.stats import (ErrorBudget, RunningCount, TestPlan, early_accept,
-                            early_reject, plan_test)
+from ewrobust.stats import ErrorBudget, TestPlan, early_accept, early_reject, plan_test
 from test_decision import bernoulli_source, stub_oracle
 from test_stats import oracle_plan
 
@@ -133,14 +132,13 @@ def test_criterion_5_early_stop_conclusive_and_equivalent():
             plan = TestPlan(0.5, 0.25, -1.0, 1.0, n, c)
             for i in range(n + 1):
                 for s in range(i + 1):
-                    count = RunningCount(s, i)
-                    if early_accept(plan, count):
-                        conclusive &= early_accept(plan, RunningCount(s, n))
-                    if early_reject(plan, count):
-                        conclusive &= early_reject(plan, RunningCount(s + n - i, n))
+                    if early_accept(plan, s):
+                        conclusive &= early_accept(plan, s)
+                    if early_reject(plan, s, i):
+                        conclusive &= early_reject(plan, s + n - i, n)
                     if i == n:
-                        conclusive &= (early_accept(plan, count)
-                                       != early_reject(plan, count))
+                        conclusive &= (early_accept(plan, s)
+                                       != early_reject(plan, s, i))
 
     # (b) 100 seeded runs: early-stopped verdict == full-N comparison
     plan = plan_test(0.2, ErrorBudget(0.001, 0.001), epsilon_prime=0.1)  # N=60

@@ -10,7 +10,6 @@ from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
 from ewrobust.nn import dump_model, load_model, predict
-from ewrobust.stats import plan_test
 
 
 @pytest.fixture
@@ -45,9 +44,8 @@ def fake_decide(monkeypatch, r_true):
     is at most r_true(center).  Keyed on the center, not on call order, since
     radii may run its points in threads."""
     def decide(query):
-        plan = plan_test(query.epsilon, query.budget, query.epsilon_prime)
         sat = query.radius <= r_true(query.center)
-        return Verdict(SAT if sat else UNSAT, 0, 0, plan,
+        return Verdict(SAT if sat else UNSAT, 0, 0, query.plan,
                        "early_accept" if sat else "early_reject")
     monkeypatch.setattr(decision, "decide", decide)
 

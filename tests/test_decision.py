@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
                                decide_with_source, evaluate, model_source,
                                point_check)
 from ewrobust.gadgets import threshold_classifier
-from ewrobust.nn import Dense, NetworkModel
+from ewrobust.nn import Dense, NetworkModel, indicative
 from ewrobust.prng import derive_subseed, uniforms
 from ewrobust.stats import ErrorBudget, TestPlan, plan_test
 
@@ -58,6 +59,28 @@ class TestQueryValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             query_for(constant_model(0), batch_size=0)
+
+    def test_plan_built_with_the_query(self):
+        q = query_for(constant_model(0))
+        assert q.plan == plan_test(0.01, BUDGET)
+        q = query_for(constant_model(0), epsilon=0.2, epsilon_prime=0.1)
+        assert q.plan == plan_test(0.2, BUDGET, 0.1)
+        assert replace(q, epsilon=0.01, epsilon_prime=None).plan == plan_test(0.01, BUDGET)
+
+    @pytest.mark.parametrize("epsilon,epsilon_prime",
+                             [(0.0, None), (1.0, None), (math.nan, None), (0.1, 0.1)])
+    def test_bad_epsilon_raises_at_construction(self, epsilon, epsilon_prime):
+        with pytest.raises(ValueError):
+            query_for(constant_model(0), epsilon=epsilon, epsilon_prime=epsilon_prime)
+
+    @pytest.mark.parametrize("omega", [(), (0, 2), (-1,)])
+    def test_omega_error_matches_indicative(self, omega):
+        model = constant_model(0)
+        with pytest.raises(ValueError) as from_query:
+            query_for(model, omega=omega)
+        with pytest.raises(ValueError) as from_indicative:
+            indicative(model, np.zeros((1, 3)), omega)
+        assert str(from_query.value) == str(from_indicative.value)
 
 
 class TestDecideWithSource:

@@ -17,28 +17,12 @@ from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, ModelFormatError,
                          NetworkModel, Normalize, NumericOverflowError, Relu,
                          ShapeMismatchError, dump_model, forward, indicative,
-                         load_model, predict, tensor)
+                         load_model, predict)
 
 
 def dense_model(weight, bias):
     w = np.asarray(weight, dtype=float)
     return NetworkModel((w.shape[1],), w.shape[0], (Dense(w, np.asarray(bias, dtype=float)),))
-
-
-class TestTensor:
-    def test_shape_product_must_match(self):
-        with pytest.raises(ValueError):
-            tensor([1.0, 2.0, 3.0], (2, 2))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            tensor([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            tensor([float("inf")], (1,))
-
-    def test_reshapes(self):
-        t = tensor([1, 2, 3, 4], (2, 2))
-        assert t.shape == (2, 2) and t.dtype == np.float64
 
 
 class TestForward:

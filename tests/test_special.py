@@ -145,3 +145,25 @@ class TestRegLowerIncompleteGammaArray:
         x[-1] = -0.5
         with pytest.raises(ValueError):
             reg_lower_incomplete_gamma_array(1.0, x)
+
+    @pytest.mark.parametrize("size", [1, 70])
+    def test_infinite_argument_gives_one(self, size):
+        assert reg_lower_incomplete_gamma(2.5, math.inf) == 1.0
+        x = np.linspace(0.0, 10.0, size)
+        x[-1] = np.inf
+        with np.errstate(all="raise"):  # no invalid-value warning on the way
+            got = reg_lower_incomplete_gamma_array(2.5, x)
+        assert got[-1] == 1.0
+        # finite elements keep their bits
+        assert np.array_equal(got[:-1], scalar_gamma(2.5, x[:-1]))
+
+    @pytest.mark.parametrize("size", [1, 70])
+    def test_nan_argument_raises(self, size):
+        with pytest.raises(ValueError):
+            reg_lower_incomplete_gamma(2.5, math.nan)
+        with pytest.raises(ValueError):
+            reg_lower_incomplete_gamma(math.nan, 1.0)
+        x = np.ones(size)
+        x[-1] = np.nan
+        with pytest.raises(ValueError):
+            reg_lower_incomplete_gamma_array(2.5, x)

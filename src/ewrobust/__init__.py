@@ -14,7 +14,7 @@ from .gadgets import (CnfFormula, GadgetNetwork, build_gadget, corner_source,
                       threshold_fraction)
 from .nn import (NetworkModel, NumericOverflowError, ShapeMismatchError, dump_model,
                  forward, indicative, load_model, predict)
-from .sampling import BallSpec, SampleStream, sample_batch
+from .sampling import BallSpec, sample_batch
 from .special import inv_norm_cdf, reg_lower_incomplete_gamma
 from .stats import (ErrorBudget, TestPlan, choose_epsilon_prime, early_accept,
                     early_reject, plan_test, sat_probability)
@@ -22,7 +22,7 @@ from .stats import (ErrorBudget, TestPlan, choose_epsilon_prime, early_accept,
 __all__ = [
     "BallSpec", "CenterMisclassifiedError", "CnfFormula", "ErrorBudget",
     "GadgetNetwork", "NetworkModel", "NumericOverflowError", "RadiusResult",
-    "RobustnessQuery", "SampleStream", "ShapeMismatchError",
+    "RobustnessQuery", "ShapeMismatchError",
     "TestPlan", "Verdict", "build_gadget", "choose_epsilon_prime", "corner_source",
     "count_satisfying", "decide", "decide_with_source", "dump_model", "early_accept",
     "early_reject", "evaluate", "forward", "indicative", "inv_norm_cdf", "load_model",

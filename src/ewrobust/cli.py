@@ -5,8 +5,9 @@ point), curve (fraction-SAT over a radius grid), radii (per-point max radii
 with class summaries), gadget (CNF to model file), sample (raw sampler dump).
 
 Exit codes: 0 success, 2 usage error, 3 runtime error.  Every flag value is
-checked before any work: by its argparse type, or when the run's one
-prototype query (with its test plan) is built.
+checked before any work: by its argparse type, else before the first file is
+opened, except the checks that need a file (omega against the model's labels,
+--index against the dataset), which run when it is loaded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
 from .gadgets import DimacsError, build_gadget, parse_dimacs
 from .nn import ModelError, _usable_cpus, dump_model, load_model, madds_per_row, predict
 from .prng import derive_subseed
-from .stats import ErrorBudget
+from .stats import ErrorBudget, plan_test
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
@@ -130,59 +131,72 @@ def _load_model_file(path: str):
         return load_model(fh.read())
 
 
-def _load_center(args, model):
-    """Center tensor plus gold label (None when no labels are in play)."""
-    shape = _parse_shape(args.shape) if args.shape else model.input_shape
-    if args.input is not None:
-        rows = load_inputs(args.input, shape)
-        return rows[0], None
-    if args.dataset is not None:
+def _checked_flags(args):
+    """The --shape, --omega and --clamp syntax and the statistics flags
+    (through the ErrorBudget and plan_test calls the query makes), checked
+    before the first file is opened.  Returns (shape, omega, clamp), each
+    None when not given."""
+    shape = _parse_shape(args.shape) if args.shape is not None else None
+    omega = _parse_omega(args.omega) if args.omega is not None else None
+    clamp = _parse_clamp(args.clamp) if args.clamp else None
+    try:
+        plan_test(args.eps, ErrorBudget(args.alpha, args.beta), args.eps_prime)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return shape, omega, clamp
+
+
+def _prototype(args, model, center, omega, clamp, radius=0.0):
+    """The run's query, built before any work; every point and probe varies
+    only center, omega, seed and radius.  An omega the model's labels do not
+    hold is a usage error."""
+    try:
+        return RobustnessQuery(
+            model=model, center=center, radius=radius, norm=args.norm,
+            epsilon=args.eps, omega=omega, budget=ErrorBudget(args.alpha, args.beta),
+            seed=args.seed, batch_size=args.batch, epsilon_prime=args.eps_prime,
+            clamp=clamp)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _load_point(args, radius=0.0):
+    """Query of decide/evaluate and the center's gold label (None when no
+    labels are in play).  Omega defaults to the gold label, else the model's
+    own prediction at the center."""
+    if args.input is None:
+        if args.dataset is None:
+            raise UsageError("give a center via --input or --dataset with --index")
         if args.index is None:
             raise UsageError("--dataset needs --index to pick a point")
+    shape, omega, clamp = _checked_flags(args)
+    model = _load_model_file(args.model)
+    shape = shape or model.input_shape
+    gold = None
+    if args.input is not None:
+        center = load_inputs(args.input, shape)[0]
+    else:
         inputs = load_inputs(args.dataset, shape)
         if not 0 <= args.index < len(inputs):
             raise UsageError(f"--index {args.index} outside dataset of {len(inputs)} rows")
-        gold = None
+        center = inputs[args.index]
         if args.labels is not None:
             gold = int(load_labels(args.labels, len(inputs), model.num_labels)[args.index])
-        return inputs[args.index], gold
-    raise UsageError("give a center via --input or --dataset with --index")
+    if omega is None:
+        label = gold if gold is not None else int(predict(model, center[None])[0])
+        omega = frozenset({label})
+    return _prototype(args, model, center, omega, clamp, radius), gold
 
 
-def _resolve_omega(args, model, center, gold):
-    if args.omega is not None:
-        return _parse_omega(args.omega)
-    if gold is not None:
-        return frozenset({gold})
-    # fall back to the model's own prediction at the center
-    return frozenset({int(predict(model, center[None])[0])})
-
-
-def _prototype(args, model, center, omega, radius=0.0):
-    """The run's query, built before any work; every point and probe varies
-    only center, omega, seed and radius.  A flag value the query or its test
-    plan rejects is a usage error."""
-    try:
-        budget = ErrorBudget(args.alpha, args.beta)
-        query = RobustnessQuery(
-            model=model, center=center, radius=radius, norm=args.norm,
-            epsilon=args.eps, omega=omega, budget=budget, seed=args.seed,
-            batch_size=args.batch, epsilon_prime=args.eps_prime,
-            clamp=_parse_clamp(args.clamp) if args.clamp else None)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return query
-
-
-def _load_sweep(args, command):
+def _load_sweep(args):
     """Model, dataset, --omega override and prototype query of curve/radii."""
-    model = _load_model_file(args.model)
     if args.dataset is None or args.labels is None or args.shape is None:
-        raise UsageError(f"{command} needs --dataset, --labels and --shape")
-    dataset = load_dataset(args.dataset, args.labels,
-                           _parse_shape(args.shape), model.num_labels)
-    omega = _parse_omega(args.omega) if args.omega else None
-    query = _prototype(args, model, dataset.inputs[0], omega or {int(dataset.labels[0])})
+        raise UsageError(f"{args.command} needs --dataset, --labels and --shape")
+    shape, omega, clamp = _checked_flags(args)
+    model = _load_model_file(args.model)
+    dataset = load_dataset(args.dataset, args.labels, shape, model.num_labels)
+    query = _prototype(args, model, dataset.inputs[0],
+                       omega or {int(dataset.labels[0])}, clamp)
     return model, dataset, omega, query
 
 
@@ -215,14 +229,11 @@ def _run_metadata(args, plan=None) -> list[str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_decide(args) -> int:
-    model = _load_model_file(args.model)
-    center, gold = _load_center(args, model)
-    omega = _resolve_omega(args, model, center, gold)
-    query = _prototype(args, model, center, omega, args.radius)
+    query, gold = _load_point(args, args.radius)
     plan = query.plan
     t0 = time.perf_counter()
     if args.radius == 0.0:
-        decision = SAT if point_check(model, center, omega) else UNSAT
+        decision = SAT if point_check(query.model, query.center, query.omega) else UNSAT
         print(decision, "(point check, r=0)")
         successes, drawn = int(decision == SAT), 1
         plan = None
@@ -236,7 +247,7 @@ def cmd_decide(args) -> int:
         header = ["id", "gold", "omega", "decision", "successes", "samples_drawn"]
         row = [args.index if args.index is not None else 0,
                gold if gold is not None else "",
-               ";".join(str(l) for l in sorted(omega)), decision, successes, drawn]
+               ";".join(str(l) for l in sorted(query.omega)), decision, successes, drawn]
         if args.timings:
             header.append("wall_time_s")
             row.append(wall)
@@ -245,10 +256,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model_file(args.model)
-    center, gold = _load_center(args, model)
-    omega = _resolve_omega(args, model, center, gold)
-    query = _prototype(args, model, center, omega)
+    query, _ = _load_point(args)
     result = evaluate(query, args.radius_max, args.precision)
     print(f"r_star={fmt(result.r_star)} probes={len(result.probes)}")
     for r, verdict in result.probes:
@@ -263,8 +271,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    model, dataset, omega, prototype = _load_sweep(args, "curve")
     grid = _parse_grid(args)
+    model, dataset, omega, prototype = _load_sweep(args)
 
     keep = list(range(len(dataset)))
     if args.correct_only:
@@ -294,7 +302,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    model, dataset, omega, prototype = _load_sweep(args, "radii")
+    model, dataset, omega, prototype = _load_sweep(args)
 
     def point(pi):
         gold = int(dataset.labels[pi])
@@ -346,23 +354,22 @@ def cmd_sample(args) -> int:
     if args.start + args.count > 2**64:
         raise UsageError("sample indices --start .. --start+--count-1 must stay below 2**64")
     shape = _parse_shape(args.shape)
+    clamp = _parse_clamp(args.clamp) if args.clamp else None
     n = math.prod(shape)
     if args.input is not None:
         center = load_inputs(args.input, shape)[0].ravel()
     else:
         center = np.zeros(n)
-    clamp = _parse_clamp(args.clamp) if args.clamp else None
     header = ["index"] + [f"x{j}" for j in range(n)]
     rows = []
     if args.count > 0:
-        spec = sampling.BallSpec(center, args.radius, args.norm)
-        stream = sampling.SampleStream(args.seed, radial=args.radial)
-        batch = sampling.sample_batch(spec, stream, args.start, args.count, clamp=clamp)
+        spec = sampling.BallSpec(center, args.radius, args.norm, clamp)
+        batch = sampling.sample_batch(spec, args.seed, args.start, args.count)
         rows = [[i + args.start] + [float(v) for v in row]
                 for i, row in enumerate(batch)]
     metadata = [f"ewrobust {__version__}",
                 f"seed={args.seed} norm={args.norm} radius={args.radius} "
-                f"radial={args.radial} clamp={args.clamp or 'off'}"]
+                f"clamp={args.clamp or 'off'}"]
     write_report(args.out or sys.stdout, metadata, header, rows)
     return 0
 
@@ -449,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="tensor shape, e.g. 784 or 3,32,32")
     p.add_argument("--input", help="center point CSV (default: origin)")
     p.add_argument("--clamp", help="clip samples into lo,hi")
-    p.add_argument("--radial", default=sampling.RADIAL_GAMMA,
-                   choices=[sampling.RADIAL_GAMMA, sampling.RADIAL_UNIFORM],
-                   help="l2 radius law (cross-check switch)")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_sample)
     return parser

@@ -8,7 +8,6 @@ semantics of the full model+sampler pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -44,16 +43,17 @@ class RobustnessQuery:
     epsilon_prime: float | None = None
     clamp: tuple[float, float] | None = None
     plan: TestPlan = field(init=False)
+    ball: sampling.BallSpec = field(init=False)
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "plan",
                            plan_test(self.epsilon, self.budget, self.epsilon_prime))
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=np.float64).ravel())
+        ball = sampling.BallSpec(self.center, self.radius, self.norm, self.clamp)
+        object.__setattr__(self, "ball", ball)
+        object.__setattr__(self, "center", ball.center)
         object.__setattr__(self, "omega", frozenset(int(l) for l in self.omega))
-        label_mask(self.model, self.omega)
-        if not 0 <= self.radius < math.inf:
-            raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
+        object.__setattr__(self, "mask", label_mask(self.model, self.omega))
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
@@ -120,15 +120,10 @@ def decide_with_source(plan: TestPlan, source: IndicativeSource,
 
 def model_source(query: RobustnessQuery) -> IndicativeSource:
     """0/1 source that samples the query's ball and runs the classifier."""
-    spec = sampling.BallSpec(query.center, query.radius, query.norm)
-    stream = sampling.SampleStream(query.seed)
-
     def source(indices: np.ndarray) -> np.ndarray:
-        start = int(indices[0])
-        batch = sampling.sample_batch(spec, stream, start, indices.size,
-                                      clamp=query.clamp)
+        batch = sampling.sample_batch(query.ball, query.seed, int(indices[0]), indices.size)
         points = batch.reshape((indices.size,) + query.model.input_shape)
-        return indicative(query.model, points, query.omega)
+        return indicative(query.model, points, query.mask)
 
     return source
 
@@ -141,9 +136,8 @@ def decide(query: RobustnessQuery) -> Verdict:
 
 def point_check(model: NetworkModel, center: np.ndarray, omega) -> bool:
     """Degenerate radius-0 case: is the center itself accepted?"""
-    center = np.asarray(center, dtype=np.float64)
-    point = center.reshape((1,) + model.input_shape)
-    return bool(indicative(model, point, omega)[0] == 1)
+    point = np.asarray(center, dtype=np.float64).reshape((1,) + model.input_shape)
+    return bool(indicative(model, point, label_mask(model, omega))[0] == 1)
 
 
 def evaluate(query: RobustnessQuery, radius_max: float, precision: float,

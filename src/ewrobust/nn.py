@@ -343,9 +343,9 @@ def label_mask(model: NetworkModel, omega) -> np.ndarray:
     return mask
 
 
-def indicative(model: NetworkModel, batch: np.ndarray, omega) -> np.ndarray:
-    """1 where the predicted label lies in omega, else 0 (per row)."""
-    mask = label_mask(model, omega)
+def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """mask[predicted label] per row: with a label_mask, 1 where the
+    prediction lies in omega, else 0."""
     return mask[predict(model, batch)]
 
 

@@ -1,6 +1,6 @@
 """Exact uniform sampling in l1 / l2 / linf balls.
 
-Sample i is a pure function of (stream, i): the l1 sampler uses sorted
+Sample i is a pure function of (seed, i): the l1 sampler uses sorted
 uniform spacings with random signs, the l2 sampler uses Gaussian directions
 with the chi-square-CDF radius law, and the linf sampler draws per-coordinate
 uniforms.  All randomness comes from the counter-based stream in prng.py, so
@@ -23,17 +23,14 @@ L2 = "2"
 LINF = "inf"
 NORMS = (L1, L2, LINF)
 
-# radial law options for the l2 sampler
-RADIAL_GAMMA = "gamma"      # kappa = P(n/2, s/2)^(1/n), s = |y'|^2
-RADIAL_UNIFORM = "uniform"  # kappa = U^(1/n) with an independent uniform
-
-
 @dataclass(frozen=True)
 class BallSpec:
-    """Perturbation region B_p(center, radius)."""
+    """Sampled region: B_p(center, radius), with every coordinate clipped
+    into [lo, hi] when clamp is set (which changes the sampled measure)."""
     center: np.ndarray
     radius: float
     norm: str
+    clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64).ravel()
@@ -44,84 +41,63 @@ class BallSpec:
             raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
+        if self.clamp is not None:
+            lo, hi = self.clamp
+            if not lo < hi:
+                raise ValueError(f"clamp lower bound must be below upper, got {self.clamp}")
 
     @property
     def dim(self) -> int:
         return self.center.size
 
 
-@dataclass(frozen=True)
-class SampleStream:
-    """Value object naming a deterministic sample sequence.
-
-    radial selects the l2 radius law; the incomplete-gamma form is the
-    default, the textbook uniform form exists for cross-checks.
-    """
-    seed: int
-    radial: str = RADIAL_GAMMA
-
-    def __post_init__(self):
-        if self.radial not in (RADIAL_GAMMA, RADIAL_UNIFORM):
-            raise ValueError(f"unknown radial mode {self.radial!r}")
-
-
-def _l1_batch(spec: BallSpec, stream: SampleStream, indices: np.ndarray) -> np.ndarray:
+def _l1_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:
     n = spec.dim
-    u = prng.uniforms(stream.seed, indices, 2 * n)
+    u = prng.uniforms(seed, indices, 2 * n)
     points = np.sort(u[:, :n] * spec.radius, axis=1)
     spacings = np.diff(points, axis=1, prepend=0.0)
     signs = np.where(u[:, n:] < 0.5, -1.0, 1.0)
     return spec.center + signs * spacings
 
 
-def _l2_batch(spec: BallSpec, stream: SampleStream, indices: np.ndarray) -> np.ndarray:
+def _l2_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:
     n = spec.dim
-    extra = 1 if stream.radial == RADIAL_UNIFORM else 0
-    u = prng.uniforms(stream.seed, indices, n + extra)
-    y = inv_norm_cdf_array(u[:, :n])
+    y = inv_norm_cdf_array(prng.uniforms(seed, indices, n))
     s = np.einsum("ij,ij->i", y, y)
     # s == 0 only when all n uniforms are exactly 0.5 (code k = 2**52, where
     # k + 1/2 rounds to k), so every Gaussian coordinate is 0: probability
     # 2**(-53 n) per sample
     zero = s == 0.0
     if zero.any():
-        u2 = prng.uniforms(stream.seed, indices[zero], n + extra,
-                           substream=prng.SUBSTREAM_REDRAW)
-        u[zero] = u2
-        y[zero] = inv_norm_cdf_array(u2[:, :n])
+        y[zero] = inv_norm_cdf_array(prng.uniforms(seed, indices[zero], n,
+                                                   substream=prng.SUBSTREAM_REDRAW))
         s[zero] = np.einsum("ij,ij->i", y[zero], y[zero])
-    if stream.radial == RADIAL_UNIFORM:
-        kappa = u[:, n] ** (1.0 / n)
-    else:
-        kappa = reg_lower_incomplete_gamma_array(n / 2.0, s / 2.0) ** (1.0 / n)
+    # radius law: kappa = P(n/2, s/2)^(1/n) is uniform^(1/n) and independent
+    # of the direction y/|y|
+    kappa = reg_lower_incomplete_gamma_array(n / 2.0, s / 2.0) ** (1.0 / n)
     return spec.center + (spec.radius * kappa / np.sqrt(s))[:, None] * y
 
 
-def _linf_batch(spec: BallSpec, stream: SampleStream, indices: np.ndarray) -> np.ndarray:
-    u = prng.uniforms(stream.seed, indices, spec.dim)
+def _linf_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:
+    u = prng.uniforms(seed, indices, spec.dim)
     return spec.center + (2.0 * u - 1.0) * spec.radius
 
 
 _BATCHERS = {L1: _l1_batch, L2: _l2_batch, LINF: _linf_batch}
 
 
-def sample_batch(spec: BallSpec, stream: SampleStream, start: int, count: int,
-                 clamp: tuple[float, float] | None = None) -> np.ndarray:
-    """Samples at indices start .. start+count-1, shape (count, n).
-
-    Clamping clips coordinates into [lo, hi] after sampling; it changes the
-    sampled measure and is off by default.
-    """
+def sample_batch(spec: BallSpec, seed: int, start: int, count: int) -> np.ndarray:
+    """Samples at indices start .. start+count-1 of the stream seed, shape
+    (count, n), clipped into spec.clamp when it is set."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     indices = np.arange(start, start + count, dtype=np.uint64)
     if spec.radius == 0.0:
         out = np.tile(spec.center, (count, 1))
     else:
-        out = _BATCHERS[spec.norm](spec, stream, indices)
-    if clamp is not None:
-        lo, hi = clamp
-        np.clip(out, lo, hi, out=out)
+        out = _BATCHERS[spec.norm](spec, seed, indices)
+    if spec.clamp is not None:
+        np.clip(out, *spec.clamp, out=out)
     return out
 
 

@@ -421,13 +421,13 @@ class TestSample:
         assert len(body) == 21
 
     def test_start_offset_matches_library(self, tmp_path):
-        from ewrobust.sampling import BallSpec, SampleStream, sample_batch
+        from ewrobust.sampling import BallSpec, sample_batch
         out = tmp_path / "s.csv"
         main(["sample", "--norm", "inf", "--radius", "2.0", "--count", "5",
               "--start", "100", "--shape", "2", "--seed", "9", "--out", str(out)])
         rows = [l.strip().split(",") for l in body_lines(out)[1:]]
         assert rows[0][0] == "100"
-        want = sample_batch(BallSpec(np.zeros(2), 2.0, "inf"), SampleStream(9), 100, 5)
+        want = sample_batch(BallSpec(np.zeros(2), 2.0, "inf"), 9, 100, 5)
         got = np.array([[float(v) for v in row[1:]] for row in rows])
         assert np.array_equal(got, want)  # repr round-trips exactly
 

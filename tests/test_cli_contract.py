@@ -85,7 +85,6 @@ def values(f):
         "--precision": ("0.5", "0.25", "0", "-1", "nan", "inf", "x"),
         "--count": ("0", "3", "-1", "1.5", "x"),
         "--start": ("0", "5", "-1", str(2**64 - 2), str(2**64), "x"),
-        "--radial": ("gamma", "uniform", "beta"),
         "--bogus": ("1",),
     }
 
@@ -102,7 +101,7 @@ OPTIONS = {
     "radii": COMMON + STATS + ["--workers", "--radius-max", "--precision"],
     "gadget": ["--cnf", "--out", "--bogus"],
     "sample": ["--norm", "--radius", "--count", "--seed", "--start", "--shape", "--input",
-               "--clamp", "--radial", "--out", "--bogus"],
+               "--clamp", "--out", "--bogus"],
 }
 
 
@@ -190,6 +189,55 @@ def test_bad_value_is_usage_error(files, case):
     rc, err = run(argv)
     assert rc == 2, (argv, err)
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+# each is a usage error that needs no file: it is reported before the (here
+# missing) model or center file is opened
+BEFORE_FILES = {
+    "decide shape": ["decide", "--shape", "x"],
+    "decide omega": ["decide", "--omega", "x"],
+    "decide clamp": ["decide", "--clamp", "1,0"],
+    "decide eps": ["decide", "--eps", "2"],
+    "decide eps-prime": ["decide", "--eps-prime", "0.5"],
+    "decide alpha": ["decide", "--alpha", "0"],
+    "decide beta": ["decide", "--beta", "nan"],
+    "decide no center": ["decide", "--input", DROP],
+    "decide dataset without index": ["decide", "--input", DROP, "--dataset", "inputs"],
+    "evaluate clamp": ["evaluate", "--clamp", "nan,1"],
+    "evaluate omega": ["evaluate", "--omega", ""],
+    "evaluate no center": ["evaluate", "--input", DROP],
+    "curve grid": ["curve", "--radius-grid", "a:b:c"],
+    "curve radius list": ["curve", "--radius-list", "0.1,inf"],
+    "curve no radius": ["curve", "--radius-list", DROP],
+    "curve without labels": ["curve", "--labels", DROP],
+    "curve shape": ["curve", "--shape", "0"],
+    "curve omega": ["curve", "--omega", "x"],
+    "curve clamp": ["curve", "--clamp", "1,0"],
+    "curve eps": ["curve", "--eps", "1"],
+    "radii without dataset": ["radii", "--dataset", DROP],
+    "radii omega": ["radii", "--omega", "-x"],
+    "radii clamp": ["radii", "--clamp", "x"],
+    "radii beta": ["radii", "--beta", "0.5"],
+    "sample clamp": ["sample", "--clamp", "1,0", "--input", "missing"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEFORE_FILES))
+def test_file_free_check_precedes_file_reads(files, case):
+    command, *change = BEFORE_FILES[case]
+    flags = {**base(files, command), "--model": files["missing"]}
+    if command == "sample":
+        flags.pop("--model")
+    for flag, value in zip(change[::2], change[1::2]):
+        flags[flag] = files.get(value, value) if isinstance(value, str) else value
+    rc, err = run(to_argv(command, flags))
+    assert rc == 2, (flags, err)
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_sample_has_no_radial_flag(files):
+    rc, err = run(to_argv("sample", base(files, "sample")) + ["--radial", "gamma"])
+    assert rc == 2 and "unrecognized arguments: --radial gamma" in err, err
 
 
 @pytest.mark.parametrize("command,flag", [

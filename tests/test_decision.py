@@ -13,8 +13,9 @@ from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
                                decide_with_source, evaluate, model_source,
                                point_check)
 from ewrobust.gadgets import threshold_classifier
-from ewrobust.nn import Dense, NetworkModel, indicative
+from ewrobust.nn import Dense, NetworkModel, indicative, label_mask
 from ewrobust.prng import derive_subseed, uniforms
+from ewrobust.sampling import sample_batch
 from ewrobust.stats import ErrorBudget, TestPlan, plan_test
 
 BUDGET = ErrorBudget(0.001, 0.001)
@@ -60,6 +61,32 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             query_for(constant_model(0), batch_size=0)
 
+    @pytest.mark.parametrize("clamp", [(1.0, 0.0), (0.0, 0.0), (math.nan, 1.0),
+                                       (0.0, math.nan)])
+    def test_unordered_or_nan_clamp_raises_at_construction(self, clamp):
+        with pytest.raises(ValueError, match="clamp lower bound must be below upper"):
+            query_for(constant_model(0), clamp=clamp)
+
+    def test_bad_norm_raises_at_construction(self):
+        with pytest.raises(ValueError, match="norm must be one of"):
+            replace(query_for(constant_model(0)), norm="3")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_center_raises_at_construction(self, value):
+        with pytest.raises(ValueError, match="ball center must be finite"):
+            replace(query_for(constant_model(0)), center=np.array([0.0, value, 0.0]))
+
+    def test_ball_and_mask_built_with_the_query(self):
+        model = constant_model(0, num_labels=3)
+        q = query_for(model, omega=(0, 2), clamp=(-1.0, 1.0))
+        assert (q.ball.radius, q.ball.norm, q.ball.clamp) == (0.5, "inf", (-1.0, 1.0))
+        assert q.ball.center is q.center and q.center.shape == (3,)
+        assert np.array_equal(q.mask, [1, 0, 1])
+        moved = replace(q, radius=0.25, center=np.ones((1, 3)), omega={1})
+        assert (moved.ball.radius, moved.ball.clamp) == (0.25, (-1.0, 1.0))
+        assert np.array_equal(moved.ball.center, np.ones(3))
+        assert np.array_equal(moved.mask, [0, 1, 0])
+
     def test_plan_built_with_the_query(self):
         q = query_for(constant_model(0))
         assert q.plan == plan_test(0.01, BUDGET)
@@ -79,7 +106,7 @@ class TestQueryValidation:
         with pytest.raises(ValueError) as from_query:
             query_for(model, omega=omega)
         with pytest.raises(ValueError) as from_indicative:
-            indicative(model, np.zeros((1, 3)), omega)
+            point_check(model, np.zeros(3), omega)
         assert str(from_query.value) == str(from_indicative.value)
 
 
@@ -264,6 +291,17 @@ class TestDecide:
         out = source(np.arange(10, dtype=np.uint64))
         assert out.shape == (10,)
         assert set(np.unique(out)) <= {0, 1}
+        manual = indicative(q.model, sample_batch(q.ball, q.seed, 0, 10), q.mask)
+        assert np.array_equal(out, manual)
+
+    def test_clamp_reaches_the_sampler(self):
+        # label 0 iff x0 <= 0.5: about half of the box [-0.1, 0.9]^2 is
+        # wrong, none of it once every coordinate is clipped to <= 0.5
+        model = threshold_classifier(2, 0, 0.5)
+        q = RobustnessQuery(model=model, center=np.full(2, 0.4), radius=0.5, norm="inf",
+                            epsilon=0.01, omega=frozenset({0}), budget=BUDGET, seed=3)
+        assert decide(q).decision == UNSAT
+        assert decide(replace(q, clamp=(-1.0, 0.5))).decision == SAT
 
 
 class TestPointCheck:

@@ -165,11 +165,11 @@ class TestThresholdClassifier:
         assert threshold_fraction(0.7, 0.0, 0.5) == 0.0
 
     def test_fraction_matches_monte_carlo(self):
-        from ewrobust.sampling import LINF, BallSpec, SampleStream, sample_batch
+        from ewrobust.sampling import LINF, BallSpec, sample_batch
         model = threshold_classifier(2, 0, 0.4)
         spec = BallSpec(np.array([0.1, 0.0]), 1.5, LINF)
         m = 1_000_000
-        pts = sample_batch(spec, SampleStream(31), 0, m)
+        pts = sample_batch(spec, 31, 0, m)
         frac = (predict(model, pts) == 0).mean()
         p = threshold_fraction(0.1, 1.5, 0.4)
         assert frac == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / m))

@@ -19,7 +19,7 @@ import pytest
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Normalize,
                          Relu, forward)
 from ewrobust.prng import derive_subseed, uniforms
-from ewrobust.sampling import NORMS, BallSpec, SampleStream, sample_batch
+from ewrobust.sampling import NORMS, BallSpec, sample_batch
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -107,7 +107,7 @@ def _cnn() -> NetworkModel:
 
 def _sample(norm: str, count: int) -> np.ndarray:
     spec = BallSpec(_values(31, (1, 24))[0], 0.3, norm)
-    return sample_batch(spec, SampleStream(2024), 1000, count)
+    return sample_batch(spec, 2024, 1000, count)
 
 
 def _forward(name: str, count: int) -> np.ndarray:

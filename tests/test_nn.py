@@ -17,7 +17,7 @@ from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, ModelFormatError,
                          NetworkModel, Normalize, NumericOverflowError, Relu,
                          ShapeMismatchError, dump_model, forward, indicative,
-                         load_model, predict)
+                         label_mask, load_model, predict)
 
 
 def dense_model(weight, bias):
@@ -363,17 +363,19 @@ class TestIndicative:
 
     def test_membership(self):
         x = np.array([0.0, 0.0, 0.0, 1.0])  # predicts 3
-        assert indicative(self.model, x, {3})[0] == 1
-        assert indicative(self.model, x, {1, 2})[0] == 0
-        assert indicative(self.model, x, {2, 3})[0] == 1
+        for omega, want in (({3}, 1), ({1, 2}, 0), ({2, 3}, 1)):
+            assert indicative(self.model, x, label_mask(self.model, omega))[0] == want
 
+    # label_mask is the one omega validator; indicative takes its mask
     def test_empty_omega(self):
-        with pytest.raises(ValueError):
-            indicative(self.model, np.zeros(4), set())
+        with pytest.raises(ValueError, match="non-empty"):
+            label_mask(self.model, set())
 
     def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            indicative(self.model, np.zeros(4), {4})
+        with pytest.raises(ValueError, match="outside"):
+            label_mask(self.model, {4})
+        with pytest.raises(ValueError, match="outside"):
+            label_mask(self.model, {-1})
 
 
 class TestModelFormat:

@@ -125,8 +125,9 @@ class TestEarlyStopping:
         for i in range(n + 1):
             for s in (0, i // 2, i):
                 if early_accept(plan, s):
-                    # all-failure completion: final count s still accepts
-                    assert early_accept(plan, s)
+                    # all-failure completion: final count s passes the
+                    # paper's full-N comparison
+                    assert s >= plan.c * plan.N
                 if early_reject(plan, s, i):
                     # all-success completion: final count s + (n-i) still rejects
                     assert early_reject(plan, s + (n - i), n)

@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 
 from .decision import (CenterMisclassifiedError, RadiusResult, RobustnessQuery,
                        Verdict, decide, decide_with_source, evaluate, point_check)
-from .gadgets import (CnfFormula, GadgetNetwork, build_gadget, corner_source,
-                      count_satisfying, parse_dimacs, threshold_classifier,
-                      threshold_fraction)
+from .gadgets import (CnfFormula, build_gadget, corner_source, count_satisfying,
+                      parse_dimacs, threshold_classifier, threshold_fraction)
 from .nn import (NetworkModel, NumericOverflowError, ShapeMismatchError, dump_model,
                  forward, indicative, load_model, predict)
 from .sampling import BallSpec, sample_batch
@@ -21,7 +20,7 @@ from .stats import (ErrorBudget, TestPlan, choose_epsilon_prime, early_accept,
 
 __all__ = [
     "BallSpec", "CenterMisclassifiedError", "CnfFormula", "ErrorBudget",
-    "GadgetNetwork", "NetworkModel", "NumericOverflowError", "RadiusResult",
+    "NetworkModel", "NumericOverflowError", "RadiusResult",
     "RobustnessQuery", "ShapeMismatchError",
     "TestPlan", "Verdict", "build_gadget", "choose_epsilon_prime", "corner_source",
     "count_satisfying", "decide", "decide_with_source", "dump_model", "early_accept",

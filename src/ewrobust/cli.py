@@ -339,14 +339,13 @@ def cmd_gadget(args) -> int:
             cnf = parse_dimacs(fh.read())
         except DimacsError as exc:
             raise UsageError(f"{args.cnf}: {exc}") from None
-    gadget = build_gadget(cnf)
-    text = dump_model(gadget.model)
+    text = dump_model(build_gadget(cnf))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    print(f"variables={cnf.num_vars} clauses={gadget.clause_count}", file=sys.stderr)
+    print(f"variables={cnf.num_vars} clauses={len(cnf.clauses)}", file=sys.stderr)
     return 0
 
 

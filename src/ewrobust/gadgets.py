@@ -90,20 +90,13 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class GadgetNetwork:
-    """ReLU network with labels (0 = formula satisfied, 1 = unsatisfied)."""
-    model: NetworkModel
-    clause_count: int
-
-
-def build_gadget(cnf: CnfFormula) -> GadgetNetwork:
+def build_gadget(cnf: CnfFormula) -> NetworkModel:
     """CNF -> 2-label ReLU network, label 0 iff every clause is satisfied."""
     n = cnf.num_vars
     m = len(cnf.clauses)
     if m == 0:
         vacuous = Dense(np.zeros((2, n)), np.array([0.0, -0.5]))
-        return GadgetNetwork(NetworkModel((n,), 2, (vacuous,)), 0)
+        return NetworkModel((n,), 2, (vacuous,))
 
     # literal layer: one unit per literal occurrence; x for positive
     # literals, 1 - x for negated ones
@@ -133,9 +126,8 @@ def build_gadget(cnf: CnfFormula) -> GadgetNetwork:
     out_w = np.vstack([-np.ones(m), np.zeros(m)])
     out_b = np.array([float(m), m - 0.5])
 
-    model = NetworkModel((n,), 2, (Dense(lit_w, lit_b), Dense(pre_w, pre_b),
-                                   Relu(), Dense(out_w, out_b)))
-    return GadgetNetwork(model, m)
+    return NetworkModel((n,), 2, (Dense(lit_w, lit_b), Dense(pre_w, pre_b),
+                                  Relu(), Dense(out_w, out_b)))
 
 
 def _assignment_table(num_vars: int) -> np.ndarray:
@@ -166,15 +158,15 @@ def count_satisfying(cnf: CnfFormula) -> int:
     return int(satisfies(cnf, _assignment_table(cnf.num_vars)).sum())
 
 
-def corner_source(target: CnfFormula | GadgetNetwork, seed: int) -> IndicativeSource:
+def corner_source(target: CnfFormula | NetworkModel, seed: int) -> IndicativeSource:
     """0/1 source: sample index i maps to a uniform corner of {0,1}^n and
     the outcome is 1 iff the gadget network labels it satisfied."""
-    gadget = build_gadget(target) if isinstance(target, CnfFormula) else target
-    n = gadget.model.input_shape[0]
+    model = build_gadget(target) if isinstance(target, CnfFormula) else target
+    n = model.input_shape[0]
 
     def source(indices: np.ndarray) -> np.ndarray:
         corners = (prng.uniforms(seed, indices, n) >= 0.5).astype(np.float64)
-        return (predict(gadget.model, corners) == 0).astype(np.int64)
+        return (predict(model, corners) == 0).astype(np.int64)
 
     return source
 

@@ -377,15 +377,17 @@ def _finite_param(values, layer_idx, name, shape=None):
 
 
 def _pair(values, layer_idx, name):
-    if isinstance(values, int):
+    if type(values) is int:  # a JSON boolean is not an integer
         return (values, values)
     if (not isinstance(values, (list, tuple)) or len(values) != 2
-            or not all(isinstance(v, int) and v >= 0 for v in values)):
+            or not all(type(v) is int and v >= 0 for v in values)):
         raise ModelFormatError(f"layer {layer_idx}: field {name!r} must be two integers")
     return tuple(values)
 
 
 def _layer_from_json(obj, idx) -> LayerSpec:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"layer {idx}: must be an object")
     kind = _req(obj, "kind", idx)
     if kind == "dense":
         w = _finite_param(_req(obj, "weight", idx), idx, "weight", shape=2)
@@ -449,6 +451,8 @@ def load_model(text: str | bytes) -> NetworkModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level value must be an object")
     for key in ("input_shape", "num_labels", "layers"):
@@ -456,9 +460,9 @@ def load_model(text: str | bytes) -> NetworkModel:
             raise ModelFormatError(f"missing top-level field {key!r}")
     shape = doc["input_shape"]
     if (not isinstance(shape, list) or not shape
-            or not all(isinstance(d, int) and d > 0 for d in shape)):
+            or not all(type(d) is int and d > 0 for d in shape)):
         raise ModelFormatError("input_shape must be a non-empty list of positive integers")
-    if not isinstance(doc["num_labels"], int):
+    if type(doc["num_labels"]) is not int:
         raise ModelFormatError("num_labels must be an integer")
     if not isinstance(doc["layers"], list):
         raise ModelFormatError("layers must be a list")

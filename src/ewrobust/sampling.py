@@ -100,12 +100,3 @@ def sample_batch(spec: BallSpec, seed: int, start: int, count: int) -> np.ndarra
         np.clip(out, *spec.clamp, out=out)
     return out
 
-
-def ball_norm(spec: BallSpec, points: np.ndarray) -> np.ndarray:
-    """p-norm of each row's offset from the ball center."""
-    delta = points - spec.center
-    if spec.norm == L1:
-        return np.abs(delta).sum(axis=1)
-    if spec.norm == L2:
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    return np.abs(delta).max(axis=1)

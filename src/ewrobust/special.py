@@ -72,17 +72,13 @@ def inv_norm_cdf(q: float) -> float:
 def inv_norm_cdf_array(q: np.ndarray) -> np.ndarray:
     """Vectorized unrefined Acklam approximation (bit-stable, |dz| < 1e-8)."""
     q = np.asarray(q, dtype=np.float64)
-    z = np.empty_like(q)
-
+    # the central rational is finite on all of (0, 1) (its denominator stays
+    # above 1e-4), so it runs on every element and the tails overwrite it
+    z = np.asarray(_acklam_central(q - 0.5))
     lo = q < _P_LOW
     hi = q > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-    if lo.any():
-        z[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(q[lo])))
-    if hi.any():
-        z[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - q[hi])))
-    if mid.any():
-        z[mid] = _acklam_central(q[mid] - 0.5)
+    z[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(q[lo])))
+    z[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - q[hi])))
     return z
 
 
@@ -155,79 +151,59 @@ def reg_lower_incomplete_gamma(a: float, x: float) -> float:
     return 1.0 - _gamma_cf(a, x)
 
 
-# The array paths run the scalar loops for all elements at once, with the
-# same operations in the same order, and keep each element's value from the
-# iteration where its scalar loop breaks, so they are bit-identical to
-# reg_lower_incomplete_gamma (a is shared, so ap and an stay Python floats).
-# They run _GAMMA_BLOCK iterations at a time and find the breaks once per
-# block; multiply.accumulate and add.accumulate run left to right, so they
-# give the scalar loop's running products and sums.
-_GAMMA_BLOCK = 16
+# The array paths run the scalar loops' statements, in the same order, on the
+# elements whose loop has not yet broken (a is shared, so ap and an stay Python
+# floats). An element leaves at the iteration where its scalar loop breaks,
+# with that loop's value, so both paths agree bit for bit.
 # below this many elements numpy's per-call overhead outweighs the scalar loop
 _GAMMA_ARRAY_MIN = 64
 
 
-def _first_break(done: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(finished, iteration) per column of a (block, live) break mask."""
-    stop = done.argmax(axis=0)
-    return done[stop, np.arange(done.shape[1])], stop
-
-
 def _gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    total = np.empty_like(x)
+    out = np.empty_like(x)
     live = np.arange(x.size)
     ap = a
     term = np.full(x.size, 1.0 / a)
-    acc = term.copy()
-    for first in range(0, _GAMMA_ITMAX, _GAMMA_BLOCK):
-        aps = []
-        for _ in range(min(_GAMMA_BLOCK, _GAMMA_ITMAX - first)):
-            ap += 1.0
-            aps.append(ap)
-        # terms[k] = term * x/ap_1 * ... * x/ap_k; sums[k] = acc + terms[0] + ... + terms[k]
-        terms = x[live] / np.array(aps)[:, None]
-        terms[0] *= term
-        np.multiply.accumulate(terms, axis=0, out=terms)
-        sums = terms.copy()
-        sums[0] += acc
-        np.add.accumulate(sums, axis=0, out=sums)
-        fin, stop = _first_break(np.abs(terms) < np.abs(sums) * _GAMMA_EPS)
-        total[live[fin]] = sums[stop[fin], fin.nonzero()[0]]
-        keep = ~fin
-        live, term, acc = live[keep], terms[-1, keep], sums[-1, keep]
-        if not live.size:
-            return total
-    total[live] = acc
-    return total
+    total = term.copy()
+    for _ in range(_GAMMA_ITMAX):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        done = np.abs(term) < np.abs(total) * _GAMMA_EPS
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, x, term, total = live[keep], x[keep], term[keep], total[keep]
+            if not live.size:
+                return out
+    out[live] = total
+    return out
 
 
 def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the modified Lentz recurrences of _gamma_cf
     out = np.empty_like(x)
     live = np.arange(x.size)
     b = x + 1.0 - a
     c = np.full(x.size, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d.copy()
-    for first in range(1, _GAMMA_ITMAX + 1, _GAMMA_BLOCK):
-        deltas = np.empty((min(_GAMMA_BLOCK, _GAMMA_ITMAX + 1 - first), live.size))
-        for k, i in enumerate(range(first, first + deltas.shape[0])):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            d[np.abs(d) < _FPMIN] = _FPMIN
-            c = b + an / c
-            c[np.abs(c) < _FPMIN] = _FPMIN
-            d = 1.0 / d
-            np.multiply(d, c, out=deltas[k])
-        fin, stop = _first_break(np.abs(deltas - 1.0) < _GAMMA_EPS)
-        deltas[0] *= h
-        hs = np.multiply.accumulate(deltas, axis=0, out=deltas)
-        out[live[fin]] = hs[stop[fin], fin.nonzero()[0]]
-        keep = ~fin
-        live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], hs[-1, keep]
-        if not live.size:
-            return out
+    for i in range(1, _GAMMA_ITMAX + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _FPMIN] = _FPMIN
+        c = b + an / c
+        c[np.abs(c) < _FPMIN] = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _GAMMA_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if not live.size:
+                return out
     out[live] = h
     return out
 

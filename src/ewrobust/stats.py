@@ -42,8 +42,6 @@ class TestPlan:
     """Frozen statistical contract of one decision run."""
     epsilon: float
     epsilon_prime: float
-    z_alpha: float
-    z_one_minus_beta: float
     N: int
     c: float
     accept_successes: int = field(init=False)  # K = ceil(c*N)
@@ -85,7 +83,7 @@ def plan_test(epsilon: float, budget: ErrorBudget,
     sqrt_n = max(ratio, 3.0 * math.sqrt((1.0 - epsilon) / epsilon))
     n = math.ceil(sqrt_n * sqrt_n)
     c = epsilon * (1.0 - epsilon) * z_one_minus_beta / math.sqrt(n) + (1.0 - epsilon)
-    return TestPlan(epsilon, epsilon_prime, z_alpha, z_one_minus_beta, n, c)
+    return TestPlan(epsilon, epsilon_prime, n, c)
 
 
 def early_accept(plan: TestPlan, successes: int) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ewrobust.nn import Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Relu
+from ewrobust.sampling import L1, L2, BallSpec
 from ewrobust.stats import TestPlan
 
 TestPlan.__test__ = False  # dataclass whose name looks like a test case
@@ -27,6 +28,16 @@ def toy_conv_model(rng: np.random.Generator, num_labels: int = 10) -> NetworkMod
         Dense(rng.normal(size=(num_labels, 18)), rng.normal(size=num_labels)),
     )
     return NetworkModel((1, 8, 8), num_labels, layers)
+
+
+def ball_norm(spec: BallSpec, points: np.ndarray) -> np.ndarray:
+    """p-norm of each row's offset from the ball center."""
+    delta = points - spec.center
+    if spec.norm == L1:
+        return np.abs(delta).sum(axis=1)
+    if spec.norm == L2:
+        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    return np.abs(delta).max(axis=1)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import toy_conv_model
+from conftest import ball_norm, toy_conv_model
 from ewrobust.cli import main as cli_main
 from ewrobust.decision import (SAT, UNSAT, RobustnessQuery, decide,
                                decide_with_source, evaluate, model_source)
@@ -20,7 +20,7 @@ from ewrobust.gadgets import (CnfFormula, _assignment_table, build_gadget,
                               threshold_classifier, threshold_fraction)
 from ewrobust.nn import dump_model, predict
 from ewrobust.prng import derive_subseed
-from ewrobust.sampling import L1, L2, LINF, NORMS, BallSpec, ball_norm, sample_batch
+from ewrobust.sampling import L1, L2, LINF, NORMS, BallSpec, sample_batch
 from ewrobust.special import inv_norm_cdf, norm_cdf
 from ewrobust.stats import ErrorBudget, TestPlan, early_accept, early_reject, plan_test
 from test_decision import bernoulli_source, stub_oracle
@@ -128,7 +128,7 @@ def test_criterion_5_early_stop_conclusive_and_equivalent():
     conclusive = True
     for n in (9, 25, 60, 128, 200):
         for c in (0.55, 0.7, 0.8, 0.95):
-            plan = TestPlan(0.5, 0.25, -1.0, 1.0, n, c)
+            plan = TestPlan(0.5, 0.25, n, c)
             for i in range(n + 1):
                 for s in range(i + 1):
                     if early_accept(plan, s):
@@ -182,7 +182,7 @@ def test_criterion_6_gadget_soundness():
     for _ in range(50):
         cnf = random_cnf(rng)
         corners = _assignment_table(cnf.num_vars)
-        net_sat = predict(build_gadget(cnf).model, corners) == 0
+        net_sat = predict(build_gadget(cnf), corners) == 0
         mismatches += int(np.sum(net_sat != satisfies(cnf, corners)))
 
     # (b) majority agreement through the statistical decision, on formulas

@@ -396,7 +396,7 @@ class TestGadget:
         rc = main(["gadget", "--cnf", str(cnf_path), "--out", str(out)])
         assert rc == 0
         model = load_model(out.read_text())
-        want = build_gadget(CnfFormula(2, ((1, 2),))).model
+        want = build_gadget(CnfFormula(2, ((1, 2),)))
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert np.array_equal(predict(model, corners), predict(want, corners))
 

@@ -19,6 +19,15 @@ from ewrobust.cli import main
 from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import dump_model
 
+# model documents that once crashed `decide` with a TypeError or RecursionError
+BAD_MODELS = {
+    "int_layer": '{"input_shape": [2], "num_labels": 2, "layers": [5]}',
+    "null_layer": '{"input_shape": [2], "num_labels": 2, "layers": [null]}',
+    "list_layer": '{"input_shape": [2], "num_labels": 2, "layers": [["kind"]]}',
+    "bool_shape": ('{"input_shape": [true, 2], "num_labels": 2, "layers": [{"kind": "flatten"}, '
+                   '{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}]}'),
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
 DROP = object()    # mutation: leave the flag out
 SWITCH = object()  # a flag that takes no value
 
@@ -34,6 +43,7 @@ def files(tmp_path_factory):
         "cnf": "p cnf 2 1\n1 2 0\n",
         "bad_cnf": "p cnf 2 1\n1 2\n",
         "empty": "",
+        **BAD_MODELS,
     }
     for name, text in paths.items():
         (root / name).write_text(text)
@@ -57,7 +67,8 @@ def run(argv):
 def values(f):
     """Candidate values of every flag: valid, invalid and non-finite ones."""
     return {
-        "--model": (f["model"], f["empty"], f["missing"], f["cnf"]),
+        "--model": (f["model"], f["empty"], f["missing"], f["cnf"],
+                    *(f[name] for name in BAD_MODELS)),
         "--input": (f["center"], f["inputs"], f["empty"], f["missing"]),
         "--dataset": (f["inputs"], f["center"], f["empty"], f["missing"]),
         "--labels": (f["labels"], f["empty"], f["inputs"], f["missing"]),
@@ -233,6 +244,13 @@ def test_file_free_check_precedes_file_reads(files, case):
     rc, err = run(to_argv(command, flags))
     assert rc == 2, (flags, err)
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_bad_model_file_is_runtime_error(files, name):
+    rc, err = run(to_argv("decide", {**base(files, "decide"), "--model": files[name]}))
+    assert rc == 3, err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_sample_has_no_radial_flag(files):

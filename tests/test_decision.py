@@ -315,7 +315,7 @@ class TestPointCheck:
 
 def stub_oracle(r_true: float):
     """Noiseless oracle: SAT exactly below r_true."""
-    plan = TestPlan(0.5, 0.25, -1.0, 1.0, 9, 0.6)
+    plan = TestPlan(0.5, 0.25, 9, 0.6)
     def oracle(r: float) -> Verdict:
         d = SAT if r <= r_true else UNSAT
         return Verdict(d, 9, 9, plan, "early_accept" if d == SAT else "early_reject")

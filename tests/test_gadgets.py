@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewrobust.gadgets import (CnfFormula, DimacsError, GadgetNetwork,
-                              _assignment_table, build_gadget, corner_source,
-                              count_satisfying, parse_dimacs, satisfies,
+from ewrobust.gadgets import (CnfFormula, DimacsError, _assignment_table, build_gadget,
+                              corner_source, count_satisfying, parse_dimacs, satisfies,
                               threshold_classifier, threshold_fraction)
-from ewrobust.nn import predict
+from ewrobust.nn import NetworkModel, predict
 
 EXAMPLE = "c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n"
 
@@ -86,35 +85,34 @@ class TestCnfSemantics:
 
 class TestGadgetNetwork:
     def test_single_clause_truth_table(self):
-        gadget = build_gadget(CnfFormula(2, ((1, 2),)))
+        model = build_gadget(CnfFormula(2, ((1, 2),)))
         corners = _assignment_table(2)
-        labels = predict(gadget.model, corners)
+        labels = predict(model, corners)
         assert list(labels) == [1, 0, 0, 0]  # only (0,0) falsifies x1 or x2
 
     def test_negated_literals(self):
-        gadget = build_gadget(CnfFormula(1, ((-1,),)))
-        assert predict(gadget.model, np.array([[0.0]]))[0] == 0
-        assert predict(gadget.model, np.array([[1.0]]))[0] == 1
+        model = build_gadget(CnfFormula(1, ((-1,),)))
+        assert predict(model, np.array([[0.0]]))[0] == 0
+        assert predict(model, np.array([[1.0]]))[0] == 1
 
     def test_empty_formula_is_vacuously_satisfied(self):
-        gadget = build_gadget(CnfFormula(3, ()))
-        assert gadget.clause_count == 0
-        labels = predict(gadget.model, _assignment_table(3))
+        model = build_gadget(CnfFormula(3, ()))
+        labels = predict(model, _assignment_table(3))
         assert (labels == 0).all()
 
     @given(cnf_formulas())
     @settings(max_examples=80)
     def test_network_matches_brute_force_on_all_corners(self, cnf):
-        gadget = build_gadget(cnf)
+        model = build_gadget(cnf)
         corners = _assignment_table(cnf.num_vars)
-        network_sat = predict(gadget.model, corners) == 0
+        network_sat = predict(model, corners) == 0
         assert np.array_equal(network_sat, satisfies(cnf, corners))
 
     def test_margin_is_half(self):
         # o1 - o2 is +0.5 on satisfying corners and <= -0.5 otherwise
         from ewrobust.nn import forward
         cnf = CnfFormula(3, ((1, -2), (2, 3), (-1, -3)))
-        logits = forward(build_gadget(cnf).model, _assignment_table(3))
+        logits = forward(build_gadget(cnf), _assignment_table(3))
         margin = logits[:, 0] - logits[:, 1]
         sat = satisfies(cnf, _assignment_table(3))
         assert np.allclose(margin[sat], 0.5)
@@ -140,9 +138,9 @@ class TestCornerSource:
         assert out.mean() == pytest.approx(p, abs=tol)
 
     def test_accepts_prebuilt_gadget(self):
-        gadget = build_gadget(CnfFormula(2, ((1,),)))
-        assert isinstance(gadget, GadgetNetwork)
-        out = corner_source(gadget, seed=4)(np.arange(1000, dtype=np.uint64))
+        model = build_gadget(CnfFormula(2, ((1,),)))
+        assert isinstance(model, NetworkModel)
+        out = corner_source(model, seed=4)(np.arange(1000, dtype=np.uint64))
         assert out.mean() == pytest.approx(0.5, abs=0.07)
 
 

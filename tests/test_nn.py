@@ -415,6 +415,33 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="unknown kind"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("layer", [5, None, ["kind"]])
+    def test_layer_must_be_object(self, layer):
+        doc = {"input_shape": [2], "num_labels": 2, "layers": [layer]}
+        with pytest.raises(ModelFormatError, match="layer 0: must be an object"):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,doc", [
+        ("input_shape", {"input_shape": [True, 2], "num_labels": 2,
+                         "layers": [{"kind": "flatten"}]}),
+        ("num_labels", {"input_shape": [2], "num_labels": True, "layers": []}),
+        ("stride", {"input_shape": [1, 2, 2], "num_labels": 2,
+                    "layers": [{"kind": "conv2d", "weight": [[[[1.0]]], [[[1.0]]]],
+                                "bias": [0, 0], "stride": True}]}),
+        ("padding", {"input_shape": [1, 2, 2], "num_labels": 2,
+                     "layers": [{"kind": "conv2d", "weight": [[[[1.0]]], [[[1.0]]]],
+                                 "bias": [0, 0], "padding": [0, False]}]}),
+        ("window", {"input_shape": [1, 2, 2], "num_labels": 2,
+                    "layers": [{"kind": "maxpool2d", "window": [True, 1]}]}),
+    ])
+    def test_boolean_is_not_an_integer(self, field, doc):
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(json.dumps(doc))
+
+    def test_deep_nesting_is_format_error(self):
+        with pytest.raises(ModelFormatError, match="nested too deeply"):
+            load_model("[" * 100_000 + "]" * 100_000)
+
     def test_min_two_labels(self):
         doc = {"input_shape": [1], "num_labels": 1,
                "layers": [{"kind": "dense", "weight": [[1]], "bias": [0]}]}
@@ -423,7 +450,7 @@ class TestModelFormat:
 
     def test_gadget_roundtrip(self):
         cnf = CnfFormula(3, ((1, -2), (2, 3), (-1, -3)))
-        model = build_gadget(cnf).model
+        model = build_gadget(cnf)
         reloaded = load_model(dump_model(model))
         assert reloaded.input_shape == model.input_shape
         assert reloaded.num_labels == model.num_labels

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ball_norm
 from ewrobust import prng, sampling
-from ewrobust.sampling import L1, L2, LINF, NORMS, BallSpec, ball_norm, sample_batch
+from ewrobust.sampling import L1, L2, LINF, NORMS, BallSpec, sample_batch
 
 SEED = 2024
 

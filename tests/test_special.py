@@ -33,6 +33,25 @@ class TestInvNormCdf:
         with pytest.raises(ValueError):
             inv_norm_cdf(q)
 
+    def test_array_version_is_the_branch_expressions(self):
+        # the central rational runs on every element before the tails overwrite
+        # it, so it must raise no floating-point error at either end of (0, 1)
+        edges = [2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]
+        for bound in (special._P_LOW, 1.0 - special._P_LOW):
+            edges += [np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)]
+        q = np.array(edges)
+        with np.errstate(all="raise"):
+            got = inv_norm_cdf_array(q)
+        want = []
+        for v in q:
+            if v < special._P_LOW:
+                want.append(special._acklam_tail(np.sqrt(-2.0 * np.log(v))))
+            elif v > 1.0 - special._P_LOW:
+                want.append(-special._acklam_tail(np.sqrt(-2.0 * np.log(1.0 - v))))
+            else:
+                want.append(special._acklam_central(v - 0.5))
+        assert np.array_equal(got, np.array(want))
+
     def test_array_version_tracks_scipy(self):
         qs = np.concatenate([np.logspace(-6, -0.4, 200), 1.0 - np.logspace(-6, -0.4, 200)])
         assert np.abs(inv_norm_cdf_array(qs) - sps.ndtri(qs)).max() < 1e-8
@@ -123,8 +142,8 @@ class TestRegLowerIncompleteGammaArray:
                               scalar_gamma(3.0, x))
 
     def test_bits_equal_scalar_when_loops_never_break(self, monkeypatch):
-        # 20 iterations: one full block and a partial one, and many elements
-        # still unconverged at the last iteration
+        # 20 iterations leave many elements unconverged at the last one,
+        # and those keep their last value
         monkeypatch.setattr(special, "_GAMMA_ITMAX", 20)
         x = np.random.default_rng(6).uniform(0.0, 400.0, 300)
         assert np.array_equal(reg_lower_incomplete_gamma_array(200.0, x),

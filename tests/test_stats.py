@@ -121,7 +121,7 @@ class TestEarlyStopping:
     @given(st.integers(9, 200), st.floats(0.55, 0.99))
     @settings(max_examples=200)
     def test_conclusive_and_terminating(self, n, c):
-        plan = TestPlan(0.5, 0.25, -1.0, 1.0, n, c)
+        plan = TestPlan(0.5, 0.25, n, c)
         for i in range(n + 1):
             for s in (0, i // 2, i):
                 if early_accept(plan, s):
@@ -149,7 +149,7 @@ def float_rule_plans():
         for k in range(1, n + 1):
             for c in (k / n, math.nextafter(k / n, 0.0), math.nextafter(k / n, 1.0)):
                 if 0.0 < c < 1.0:
-                    plans.append(TestPlan(0.5, 0.25, -1.0, 1.0, n, c))
+                    plans.append(TestPlan(0.5, 0.25, n, c))
     return plans
 
 
@@ -172,12 +172,12 @@ def test_integer_rules_match_float_rules():
 def test_plan_thresholds():
     plan = plan_test(0.01, ErrorBudget(0.001, 0.001))
     assert (plan.N, plan.accept_successes, plan.reject_failures) == (891, 884, 8)
-    plan = TestPlan(0.5, 0.25, -1.0, 1.0, 10, 0.7)  # c*N = 7 up to rounding
+    plan = TestPlan(0.5, 0.25, 10, 0.7)  # c*N = 7 up to rounding
     assert plan.accept_successes == math.ceil(0.7 * 10)
     assert plan.reject_failures == 10 - plan.accept_successes + 1
     # derived, not constructor arguments
     with pytest.raises(TypeError):
-        TestPlan(0.5, 0.25, -1.0, 1.0, 10, 0.7, 7, 4)
+        TestPlan(0.5, 0.25, 10, 0.7, 7, 4)
 
 
 class TestSatProbability:
@@ -218,6 +218,6 @@ class TestSatProbability:
 
 def test_test_plan_invariants():
     with pytest.raises(ValueError):
-        TestPlan(0.5, 0.6, -1.0, 1.0, 100, 0.7)  # eps' >= eps
+        TestPlan(0.5, 0.6, 100, 0.7)  # eps' >= eps
     with pytest.raises(ValueError):
-        TestPlan(0.5, 0.25, -1.0, 1.0, 4, 0.7)  # violates large-sample bound
+        TestPlan(0.5, 0.25, 4, 0.7)  # violates large-sample bound

@@ -1,13 +1,25 @@
 """Minimal deterministic feed-forward inference.
 
 Six layer kinds (dense, relu, conv2d, maxpool2d, flatten, normalize) over
-float64 numpy arrays, plus a JSON model format.  All affine reductions use an
-explicit fixed accumulation order so a batch of k rows is bitwise identical
-to k single-row passes regardless of how callers batch their inputs.
+float64 numpy arrays, plus a JSON model format.  Every output row is a
+function of its input row alone, so a batch of k rows is bitwise identical to
+k single-row passes regardless of how callers batch their inputs.
+
+Dense is an exact split product through the BLAS (Ozaki, Ogita, Oishi &
+Rump, Numer. Algorithms 2012): each row of the input and of the weight is
+scaled by a power of two and cut into three slices of
+floor((53 - ceil(log2 n)) / 2) bits, so that every sum of n slice-pair
+products is exact in float64 whatever the BLAS, its kernels or its thread
+count.  The six pairs (i, j) with i + j < 3 are added in a fixed order,
+smallest first, scaled back, and the bias is added.  The error is at most
+two roundings of sum|x w| + |b| plus 8 n 2**(-3 bits) max|x| max|w| for the
+slices dropped.  Conv keeps an explicit fixed accumulation order: bias, then
+each input channel and kernel offset in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,26 +46,60 @@ class NumericOverflowError(ModelError):
     """A forward pass produced a non-finite intermediate value."""
 
 
-# bytes of the products of one block of dense input columns
+# bytes of the three slices of one block of dense input rows
 _DENSE_BLOCK_BYTES = 256 * 1024
 
 
-def _dense_matmul(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # fixed left-to-right accumulation over the input dimension: bitwise
-    # independent of batch size (BLAS kernels are not).  The products of a
-    # block of input columns come from one multiply, with contiguous operand
-    # rows; the sums stay in j order.
+def _slice_bits(n: int) -> int:
+    """Bits per slice for dot products of length n: a sum of n products of
+    two slices stays at or below 2**53 units of its level, so it is exact."""
+    return (53 - math.ceil(math.log2(max(n, 1)))) // 2
+
+
+def _split(a: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slices, e): each row of a times 2**-e (so below 1 in magnitude), cut
+    into three slices; slice i is a multiple of 2**-(i+1)*bits and at most
+    2**-i*bits in magnitude, and the slices sum to the scaled row up to
+    2**-(3*bits+1).  Every step is exact and elementwise."""
+    e = np.frexp(np.maximum.reduce(np.abs(a), axis=1, initial=0.0))[1]
+    r = np.ldexp(a, -e[:, None])
+    slices = np.empty((3,) + a.shape)
+    for i, s in enumerate(slices):
+        # (r + sigma) - sigma rounds r to a multiple of sigma's ulp, and
+        # r - s is then exact
+        sigma = 1.5 * 2.0 ** (52 - (i + 1) * bits)
+        np.add(r, sigma, out=s)
+        s -= sigma
+        if i < 2:
+            r -= s
+    return slices, e
+
+
+def _dense_matmul(x: np.ndarray, wt: np.ndarray, ew: np.ndarray, bits: int,
+                  bias: np.ndarray) -> np.ndarray:
+    # every gemm output is a sum of n products of one slice pair, exact in
+    # any order, so its bits do not depend on the block, the BLAS or its
+    # threads
     rows, cols = x.shape
-    out = np.broadcast_to(bias, (rows, bias.size)).copy()
-    block = min(cols, max(1, _DENSE_BLOCK_BYTES // max(1, out.nbytes)))
-    prod = np.empty((block, rows, bias.size))
-    xt = np.ascontiguousarray(x.T)[:, :, None]
-    wt = np.ascontiguousarray(weight.T)[:, None, :]
-    for j0 in range(0, cols, block):
-        p = prod[:min(block, cols - j0)]
-        np.multiply(xt[j0:j0 + len(p)], wt[j0:j0 + len(p)], out=p)
-        for pj in p:
-            out += pj
+    out = np.empty((rows, bias.size))
+    block = max(1, _DENSE_BLOCK_BYTES // (3 * 8 * cols))
+    for r0 in range(0, rows, block):
+        # a C-ordered block: after a conv, x is a transposed view, and a split
+        # of its rows would run numpy's loops over a few elements at a time
+        xs, ex = _split(np.ascontiguousarray(x[r0:r0 + block]), bits)
+        # pj[i] is the pair (i, j): weight slice j against input slice i
+        p0 = (xs.reshape(-1, cols) @ wt[0]).reshape(3, -1, bias.size)
+        p1 = (xs[:2].reshape(-1, cols) @ wt[1]).reshape(2, -1, bias.size)
+        p2 = xs[0] @ wt[2]
+        # the pairs with i + j < 3 in a fixed order, smallest level first
+        acc = p0[2] + p1[1]
+        acc += p2
+        acc += p0[1]
+        acc += p1[0]
+        acc += p0[0]
+        block_out = out[r0:r0 + block]
+        np.ldexp(acc, ex[:, None] + ew, out=block_out)
+        block_out += bias
     return out
 
 
@@ -69,8 +115,17 @@ class Dense:
                 f"dense expects flat input of size {self.weight.shape[1]}, got {in_shape}")
         return (self.weight.shape[0],)
 
+    @functools.cached_property
+    def _weight_split(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(slices as (3, in, out), row exponents, bits) of the weight, made
+        on the first apply and kept on the layer."""
+        bits = _slice_bits(self.weight.shape[1])
+        slices, e = _split(self.weight, bits)
+        return np.ascontiguousarray(slices.transpose(0, 2, 1)), e, bits
+
     def apply(self, x):
-        return _dense_matmul(x, self.weight, self.bias)
+        wt, ew, bits = self._weight_split
+        return _dense_matmul(x, wt, ew, bits, self.bias)
 
 
 @dataclass(frozen=True)

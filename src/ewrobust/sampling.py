@@ -54,10 +54,14 @@ class BallSpec:
 def _l1_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:
     n = spec.dim
     u = prng.uniforms(seed, indices, 2 * n)
-    points = np.sort(u[:, :n] * spec.radius, axis=1)
-    spacings = np.diff(points, axis=1, prepend=0.0)
-    signs = np.where(u[:, n:] < 0.5, -1.0, 1.0)
-    return spec.center + signs * spacings
+    # in place: the sorted points, then their spacings from 0 (numpy buffers
+    # the overlapping operands), negated where the sign uniform is below 1/2
+    x = u[:, :n] * spec.radius
+    x.sort(axis=1)
+    x[:, 1:] -= x[:, :-1]
+    np.negative(x, out=x, where=u[:, n:] < 0.5)
+    x += spec.center
+    return x
 
 
 def _l2_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ Inputs and weights come from the package's own Philox stream (pinned by the
 known-answer vectors in test_prng.py), so the hashes do not depend on numpy's
 random generators.  The l1, linf and forward hashes involve only exactly
 rounded IEEE operations; the l2 hashes also pin the platform's log, exp and
-pow, and were recorded with numpy 2.4 on x86-64 Linux.
+pow, and were recorded with numpy 2.4 on x86-64 Linux.  Dense layers multiply
+through the BLAS, but every product and partial sum of the split product is
+exact, so the forward bits do not depend on the BLAS build, its kernels or
+its thread count.  The forward hashes were re-recorded once, when dense
+moved from a fixed-order column loop to that split product.
 
 To re-record after a deliberate, documented change, print ``golden_hashes()``.
 """
@@ -23,7 +27,7 @@ from ewrobust.sampling import NORMS, BallSpec, sample_batch
 
 BATCH_SIZES = (1, 7, 256)
 
-GOLDEN = {  # recorded before the uniforms top-code fix; no bit moved
+GOLDEN = {  # samples: recorded before the uniforms top-code fix; no bit moved
     "sample-l1/1": "0c3c6582283e39c348ca5012eba4723f",
     "sample-l1/7": "8d9ca0f6c869c53615bdd32480f1d5c3",
     "sample-l1/256": "c9c911b4799f780bbc3343229c2c5b22",
@@ -33,12 +37,13 @@ GOLDEN = {  # recorded before the uniforms top-code fix; no bit moved
     "sample-linf/1": "013f514a5af486d93a531ac65bc531e2",
     "sample-linf/7": "797d00a8701f314ffd0aa81a6bc8258d",
     "sample-linf/256": "f771ae65cd0841d2fdb283dabf644a65",
-    "forward-mlp/1": "3f08adf72f28c0c53d79823ed4db3bd3",
-    "forward-mlp/7": "1e8708bea8ac8abad33d618456f6acf8",
-    "forward-mlp/256": "db75494785b9c050ab115212398207dd",
-    "forward-cnn/1": "d5ae661a820f0dcd9f27a151088f3e74",
-    "forward-cnn/7": "2498a867ab828a7a09d96909330394ad",
-    "forward-cnn/256": "10d2bb27f7e6555a007900f8cfa3b4ce",
+    # forward: recorded with the exact split dense product
+    "forward-mlp/1": "344b0d3e904c157783fba939ea78e51f",
+    "forward-mlp/7": "f3ca508054e7d3f8c81b742093b9e626",
+    "forward-mlp/256": "05faafa6515f1b2d22f006b43e3da903",
+    "forward-cnn/1": "6496ec4ee1bfd584f1321f461ac516c4",
+    "forward-cnn/7": "4fec8b946cb0f1ce7da0930d2d1325b1",
+    "forward-cnn/256": "58445379e19e75e735414b53f984ff15",
 }
 
 

@@ -1,10 +1,14 @@
 import json
+import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,35 +72,243 @@ class TestForward:
         rows = np.vstack([forward(model, batch[k]) for k in range(9)])
         assert np.array_equal(whole, rows)
 
-    @staticmethod
-    def _column_dense(x, weight, bias):
-        # the one-column-at-a-time kernel _dense_matmul replaced
-        out = np.broadcast_to(bias, (x.shape[0], bias.size)).copy()
-        for j in range(x.shape[1]):
-            out += x[:, j, None] * weight[:, j]
-        return out
-
-    @pytest.mark.parametrize("rows,cols,outs", [(0, 5, 3), (1, 2304, 10), (7, 784, 100),
-                                                (36, 18, 10), (300, 40, 120)])
-    def test_blocked_dense_bitwise_equals_column_loop(self, rng, rows, cols, outs):
-        x, w, b = rng.normal(size=(rows, cols)), rng.normal(size=(outs, cols)), rng.normal(size=outs)
-        assert np.array_equal(nn._dense_matmul(x, w, b), self._column_dense(x, w, b))
-
-    @pytest.mark.parametrize("budget", [1, 5 * 3 * 4 * 8])
-    def test_dense_partial_last_block_bitwise_equals_column_loop(self, rng, monkeypatch, budget):
-        # 3 rows by 4 outputs: one column a block, or blocks of 5, 5 and 3
-        monkeypatch.setattr(nn, "_DENSE_BLOCK_BYTES", budget)
-        x, w, b = rng.normal(size=(3, 13)), rng.normal(size=(4, 13)), rng.normal(size=4)
-        # a transposed view, as a flatten of a rows-innermost conv output gives
-        xf = np.asfortranarray(x)
-        want = self._column_dense(x, w, b)
-        assert np.array_equal(nn._dense_matmul(x, w, b), want)
-        assert np.array_equal(nn._dense_matmul(xf, w, b), want)
-
     def test_conv_model_logits_are_c_contiguous(self, rng):
         # conv layers return batch-first views of a rows-innermost array
         logits = forward(toy_conv_model(rng), rng.normal(size=(9, 1, 8, 8)))
         assert logits.shape == (9, 10) and logits.flags.c_contiguous
+
+
+def _exact_dense(x, weight, bias):
+    """x @ weight.T + bias, correctly rounded: math.fsum of each product as an
+    exact pair (Dekker's split; no overflow for |values| below 2**996)."""
+    def halves(a):
+        c = 134217729.0 * a  # 2**27 + 1
+        hi = c - (c - a)
+        return hi, a - hi
+
+    out = np.empty((x.shape[0], weight.shape[0]))
+    for r, row in enumerate(x):
+        for o, w in enumerate(weight):
+            p = row * w
+            (xh, xl), (wh, wl) = halves(row), halves(w)
+            err = ((xh * wh - p) + xh * wl + xl * wh) + xl * wl
+            out[r, o] = math.fsum([*p, *err, bias[o]])
+    return out
+
+
+def _dense_error_bound(x, weight, bias):
+    """Two roundings (the pair sum, then the bias) of at most 2**-53 of
+    sum|x w| + |b|, plus the dropped slices and pairs: at most 6 n 2**-3*bits
+    units of max|x| max|w| scaled to (0.5, 1], bounded by 8 n 2**-3*bits."""
+    n = x.shape[1]
+    bits = nn._slice_bits(n)
+    scale = np.abs(x) @ np.abs(weight).T + np.abs(bias)
+    dropped = (8 * n * 2.0 ** (-3 * bits)
+               * np.abs(x).max(axis=1)[:, None] * np.abs(weight).max(axis=1))
+    return 2 * 2.0 ** -53 * scale + dropped
+
+
+# forward of a 784-100-100-10 MLP on 300 rows, whole and in row partitions
+# (the last partial), printed as one digest; run in a fresh process so that
+# OpenBLAS reads its thread count and CPU set at start-up
+_FORWARD_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from ewrobust.nn import Dense, NetworkModel, Relu, forward
+rng = np.random.default_rng(7)
+dims = (784, 100, 100, 10)
+layers = []
+for a, b in zip(dims, dims[1:]):
+    layers += [Dense(rng.normal(size=(b, a)) / a ** 0.5, rng.normal(size=b)), Relu()]
+model = NetworkModel((784,), 10, tuple(layers[:-1]))
+x = rng.normal(size=(300, 784))
+whole = forward(model, x)
+for size in (1, 7, 31, 33, 72, 156):
+    parts = np.vstack([forward(model, x[i:i + size]) for i in range(0, 300, size)])
+    assert np.array_equal(parts, whole), size
+print(hashlib.sha256(whole.tobytes()).hexdigest())
+"""
+
+
+class TestDenseSplitProduct:
+    """Dense is an exact split product: every slice-pair sum is exact in
+    float64, so an output row is a function of its input row alone."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 60),
+           st.integers(1, 12), st.lists(st.integers(1, 40), max_size=6),
+           st.sampled_from("CF"), st.sampled_from([1, 2000, nn._DENSE_BLOCK_BYTES]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_partition_gives_the_same_bits(self, seed, rows, cols, outs, cuts,
+                                               order, budget):
+        rng = np.random.default_rng(seed)
+        layer = Dense(rng.normal(size=(outs, cols)), rng.normal(size=outs))
+        x = np.asarray(rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, (rows, 1)),
+                       order=order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_DENSE_BLOCK_BYTES", budget)
+            whole = layer.apply(x)
+            bounds = sorted({0, rows, *(c for c in cuts if c < rows)})
+            parts = [layer.apply(x[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert whole.shape == (rows, outs)
+        assert np.array_equal(np.vstack(parts) if parts else whole, whole)
+        rowwise = [Dense(layer.weight, layer.bias).apply(x[k:k + 1]) for k in range(rows)]
+        assert np.array_equal(np.vstack(rowwise) if rowwise else whole, whole)
+
+    def test_same_bits_at_any_blas_thread_count_and_cpu_set(self):
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        digests = set()
+        for threads, cpus in (("1", "all"), ("2", "all"), ("2", "pinned")):
+            if cpus == "pinned" and not hasattr(os, "sched_setaffinity"):
+                continue
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", _FORWARD_DIGEST, cpus], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("rows,cols,outs", [(5, 784, 100), (2, 2304, 10), (36, 18, 10),
+                                                (300, 40, 3), (4, 1, 6)])
+    def test_accuracy_against_fsum(self, rng, rows, cols, outs):
+        x = rng.normal(size=(rows, cols)) * rng.uniform(0.5, 4, size=(rows, 1))
+        weight = rng.normal(size=(outs, cols)) / cols ** 0.5
+        bias = rng.normal(size=outs)
+        got = Dense(weight, bias).apply(x)
+        err = np.abs(got - _exact_dense(x, weight, bias))
+        assert (err <= _dense_error_bound(x, weight, bias)).all()
+
+    def test_slice_pair_sums_are_exact_at_the_bound(self, rng):
+        # positive entries just below 1: every slice-0 product is near 2**(2 bits)
+        # units and the sums of n of them come within 2**53 units
+        n = 1000
+        x = 1.0 - rng.uniform(0, 2.0 ** -20, size=(4, n))
+        weight = 1.0 - rng.uniform(0, 2.0 ** -20, size=(3, n))
+        bits = nn._slice_bits(n)
+        assert 2 * bits + math.ceil(math.log2(n)) <= 53
+        xs, _ = nn._split(x, bits)
+        ws, _ = nn._split(weight, bits)
+        for i in range(3):
+            for j in range(3 - i):
+                exact = [[math.fsum(a * b) for b in ws[j]] for a in xs[i]]
+                assert np.array_equal(xs[i] @ ws[j].T, exact), (i, j)
+
+    def test_pairs_add_smallest_level_first(self, rng):
+        # a reference from exact pair sums (math.fsum), added in the fixed
+        # order (2,0) (1,1) (0,2) (1,0) (0,1) (0,0), scaled back, plus the bias.
+        # In rows 10 to 15 against weight rows 0 to 5, the slice-0 products
+        # cancel (1/2 times +1/2 and -1/2) and so nearly do the level-1 pairs,
+        # so the order of every level-1 add shows in the bits
+        n = 16
+        bits = nn._slice_bits(n)
+        x = rng.normal(size=(20, n)) * 10.0 ** rng.integers(-3, 4, (20, 1))
+        fine = rng.uniform(0, 2.0 ** -(bits + 2), size=(6, n))
+        x[10:16] = 0.5 + fine
+        sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+        weight = sign * (0.5 - fine + rng.uniform(0, 2.0 ** -(2 * bits), size=(6, n)))
+        bias = np.zeros(6)
+        xs, ex = nn._split(x, bits)
+        ws, ew = nn._split(weight, bits)
+        want = np.empty((20, 6))
+        for r in range(20):
+            for o in range(6):
+                pair = {(i, j): math.fsum(xs[i, r] * ws[j, o])
+                        for i in range(3) for j in range(3 - i)}
+                acc = pair[2, 0] + pair[1, 1]
+                for key in ((0, 2), (1, 0), (0, 1), (0, 0)):
+                    acc += pair[key]
+                want[r, o] = math.ldexp(acc, int(ex[r] + ew[o])) + bias[o]
+        assert np.array_equal(Dense(weight, bias).apply(x), want)
+
+    def test_split_slices_are_exact_pieces_of_the_scaled_rows(self, rng):
+        x = rng.normal(size=(6, 50)) * np.ldexp(1.0, rng.integers(-1000, 1000, (6, 1)))
+        x[1] = 0.0
+        bits = nn._slice_bits(50)
+        slices, e = nn._split(x, bits)
+        scaled = np.ldexp(x, -e[:, None])
+        assert (np.abs(scaled) < 1).all()
+        for i, s in enumerate(slices):
+            unit = 2.0 ** (-(i + 1) * bits)
+            assert np.array_equal(s / unit, np.round(s / unit))
+            assert (np.abs(s) <= 2.0 ** (-i * bits)).all()
+            # no slice is subnormal, so flush-to-zero in a BLAS cannot drop one
+            assert (np.abs(s[s != 0]) >= 2.0 ** (-3 * bits)).all()
+        rest = np.abs(scaled - slices[0] - slices[1] - slices[2])
+        assert (rest <= 2.0 ** (-3 * bits - 1)).all()
+
+    @pytest.mark.parametrize("k", [1000, -1000])
+    def test_rows_near_two_to_the_1000(self, rng, k):
+        # scaling a row by 2**k scales its output by 2**k exactly, at any k
+        x = rng.normal(size=(5, 30))
+        weight = rng.normal(size=(4, 30))
+        zero = np.zeros(4)
+        want = Dense(weight, zero).apply(x)
+        big_x = Dense(np.ldexp(weight, -k), zero).apply(np.ldexp(x, k))
+        big_w = Dense(np.ldexp(weight, k), zero).apply(np.ldexp(x, -k))
+        assert np.array_equal(big_x, want) and np.array_equal(big_w, want)
+        assert (np.abs(want - _exact_dense(x, weight, zero))
+                <= _dense_error_bound(x, weight, zero)).all()
+
+    def test_subnormal_rows(self):
+        # rows whose largest entry is subnormal scale up exactly, so their
+        # slices are normal and the few-bit products here sum exactly: the
+        # output is the correctly rounded value, subnormal where it is
+        tiny = 5e-324
+        x = np.array([[tiny, 3 * tiny, -7 * tiny, 2.0 ** -1060],
+                      [-2.0 ** -1040, 0.0, 2.0 ** -1050, tiny]])
+        weight = np.array([[2.0 ** 1000, -2.0 ** 990, 3 * 2.0 ** 980, 2.0 ** 1010],
+                           [0.5, 0.25, -1.0, 2.0]])
+        bias = np.array([2.0 ** -60, 0.0])
+        want = [[float(sum(Fraction(a) * Fraction(b) for a, b in zip(row, w)) + Fraction(c))
+                 for w, c in zip(weight, bias)] for row in x]
+        got = Dense(weight, bias).apply(x)
+        assert np.array_equal(got, want)
+        assert 0 < abs(got[1, 1]) < np.finfo(float).tiny
+
+    def test_subnormals_beside_normal_values(self, rng):
+        x = rng.normal(size=(3, 8))
+        x[:, ::2] = 5e-324 * rng.integers(-9, 10, size=(3, 4))
+        weight = np.ldexp(rng.normal(size=(4, 8)), rng.integers(-20, 20, size=(4, 8)))
+        bias = rng.normal(size=4)
+        got = Dense(weight, bias).apply(x)
+        assert (np.abs(got - _exact_dense(x, weight, bias))
+                <= _dense_error_bound(x, weight, bias)).all()
+
+    def test_zero_rows_give_the_bias(self, rng):
+        weight = rng.normal(size=(5, 9))
+        weight[2] = 0.0
+        bias = rng.normal(size=5)
+        x = rng.normal(size=(4, 9))
+        x[1], x[3] = 0.0, -0.0
+        got = Dense(weight, bias).apply(x)
+        for k in (1, 3):
+            assert got[k].tobytes() == bias.tobytes()
+        assert got[[0, 2], 2].tobytes() == bias[[2, 2]].tobytes()
+
+    def test_empty_batch_and_one_column(self, rng):
+        layer = Dense(rng.normal(size=(3, 7)), rng.normal(size=3))
+        assert layer.apply(np.empty((0, 7))).shape == (0, 3)
+        weight, bias = rng.normal(size=(3, 1)), rng.normal(size=3)
+        x = rng.normal(size=(6, 1))
+        got = Dense(weight, bias).apply(x)
+        assert (np.abs(got - _exact_dense(x, weight, bias))
+                <= _dense_error_bound(x, weight, bias)).all()
+        assert np.array_equal(np.vstack([Dense(weight, bias).apply(r[None]) for r in x]), got)
+
+    def test_weight_split_is_cached_on_first_apply_not_at_load(self, rng):
+        model = load_model(dump_model(random_dense_model(rng, 6, 3)))
+        dense = [layer for layer in model.layers if isinstance(layer, Dense)]
+        assert all("_weight_split" not in vars(layer) for layer in dense)
+        forward(model, rng.normal(size=(4, 6)))
+        for layer in dense:
+            wt, e, bits = vars(layer)["_weight_split"]
+            fresh, fresh_e = nn._split(layer.weight, nn._slice_bits(layer.weight.shape[1]))
+            assert bits == nn._slice_bits(layer.weight.shape[1])
+            assert np.array_equal(wt, fresh.transpose(0, 2, 1)) and wt.flags.c_contiguous
+            assert np.array_equal(e, fresh_e)
+            assert layer._weight_split is vars(layer)["_weight_split"]
 
 
 class TestConvAndPoolSemantics:

@@ -26,15 +26,16 @@ from .data import fmt, load_dataset, load_inputs, load_labels, write_report
 from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
                        decide, evaluate, point_check)
 from .gadgets import DimacsError, build_gadget, parse_dimacs
-from .nn import ModelError, _usable_cpus, dump_model, load_model, madds_per_row, predict
+from .nn import ModelError, _usable_cpus, conv_madds_per_row, dump_model, load_model, predict
 from .prng import derive_subseed
 from .stats import ErrorBudget, plan_test
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
 MAX_GRID_RADII = 1_000_000  # a longer --radius-grid is a usage error, not a huge list
-# forward multiply-adds of one query batch from which sweeps run their queries
-# on threads; on 2 vCPUs threads lost below about 1M and won above about 3M
+# conv2d multiply-adds of one query batch from which sweeps run their queries
+# on threads; on 2 vCPUs threads lost below about 1M and won above about 3M.
+# Dense layers do not count: they already run on every CPU through the BLAS.
 QUERY_THREAD_MADDS = 2_000_000
 
 
@@ -202,14 +203,15 @@ def _load_sweep(args):
 
 def _map_queries(args, prototype, fn, items) -> list:
     """[fn(item) for item in items], on a pool of query threads only when
-    more than one worker may run and one batch's forward pass (min(--batch,
-    N) rows) reaches QUERY_THREAD_MADDS multiply-adds.  Otherwise in order on
-    the calling thread, where a multi-tile conv still uses the tile pool.
+    more than one worker may run and the conv2d layers of one batch's forward
+    pass (min(--batch, N) rows) reach QUERY_THREAD_MADDS multiply-adds.
+    Otherwise in order on the calling thread, where a multi-tile conv still
+    uses the tile pool.
     Queries are independent and their samples counter-based, so the results
     do not depend on which way they run."""
     workers = min(args.workers, _usable_cpus())
     rows = min(args.batch, prototype.plan.N)
-    if workers < 2 or rows * madds_per_row(prototype.model) < QUERY_THREAD_MADDS:
+    if workers < 2 or rows * conv_madds_per_row(prototype.model) < QUERY_THREAD_MADDS:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

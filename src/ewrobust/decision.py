@@ -8,7 +8,7 @@ semantics of the full model+sampler pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,15 @@ class RobustnessQuery:
         object.__setattr__(self, "mask", label_mask(self.model, self.omega))
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+
+    def at_radius(self, radius: float, seed: int) -> RobustnessQuery:
+        """This query at another radius and seed, as a bisection probe: only
+        the ball is built anew, and the plan, label mask, center and omega
+        are this query's (replace() would check and build them all again)."""
+        probe = object.__new__(RobustnessQuery)
+        ball = sampling.BallSpec(self.center, radius, self.norm, self.clamp)
+        probe.__dict__.update(self.__dict__, radius=radius, seed=seed, ball=ball)
+        return probe
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,7 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
                 "pre-chosen radii instead")
 
         def oracle(radius: float) -> Verdict:
-            return decide(replace(query, radius=radius,
-                                  seed=derive_subseed(query.seed, len(probes))))
+            return decide(query.at_radius(radius, derive_subseed(query.seed, len(probes))))
 
     r_min = 0.0
     r_max = radius_max

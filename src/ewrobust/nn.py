@@ -280,8 +280,11 @@ class MaxPool2d:
         for i in range(self.window[0]):
             for j in range(self.window[1]):
                 patch = x[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw]
-                # order="K" keeps the memory layout of x (rows innermost after a conv)
-                out = patch.copy(order="K") if out is None else np.maximum(out, patch)
+                if out is None:
+                    # order="K" keeps the memory layout of x (rows innermost after a conv)
+                    out = patch.copy(order="K")
+                else:
+                    np.maximum(out, patch, out=out)
         return out
 
 
@@ -345,9 +348,17 @@ class NetworkModel:
                 f"network output shape {shape} does not match num_labels={self.num_labels}")
 
 
+# layers whose output is finite wherever their input is: max, relu and
+# reshape make no new values
+_KEEPS_FINITE = frozenset({"relu", "maxpool2d", "flatten"})
+
+
 def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
     """Logits of shape (batch, num_labels); raises on shape mismatch or
-    non-finite intermediates."""
+    non-finite intermediates, naming the first layer with a non-finite
+    output.  Once a layer's output is checked finite, relu, maxpool2d and
+    flatten are not checked until the next dense, conv2d or normalize: the
+    first non-finite output can only come from one of those."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == len(model.input_shape):  # single row convenience
         batch = batch[None]
@@ -355,25 +366,27 @@ def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"input shape {batch.shape[1:]} does not match model input {model.input_shape}")
     x = batch
+    finite = False  # x is known to be finite
     # overflow surfaces as the NumericOverflowError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, layer in enumerate(model.layers):
             x = layer.apply(x)
+            if finite and layer.kind in _KEEPS_FINITE:
+                continue
             if not np.isfinite(x).all():
                 raise NumericOverflowError(
                     f"non-finite value after layer {idx} ({layer.kind})")
+            finite = True
     return x
 
 
-def madds_per_row(model: NetworkModel) -> int:
-    """Multiply-adds of one row's forward pass: weight.size for each dense
-    layer, weight.size per output pixel for each conv2d, none elsewhere."""
+def conv_madds_per_row(model: NetworkModel) -> int:
+    """Multiply-adds of one row's conv2d layers: weight.size per output
+    pixel of each."""
     total, shape = 0, model.input_shape
     for layer in model.layers:
         out = layer.out_shape(shape)
-        if layer.kind == "dense":
-            total += layer.weight.size
-        elif layer.kind == "conv2d":
+        if layer.kind == "conv2d":
             total += layer.weight.size * out[1] * out[2]
         shape = out
     return total

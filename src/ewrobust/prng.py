@@ -13,6 +13,10 @@ import operator
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+# the round multipliers, the shift and the mask as 0-d uint64 arrays, for
+# rounds on word buffers: numpy converts a Python int operand on every call
+_ARRAY_OPERANDS = tuple(np.array(v, dtype=np.uint64)
+                        for v in (0xD2511F53, 0xCD9E8D57, 32, _MASK32))
 
 # substream tags: 0 = primary draws, 1 = redraw lane, 0xffffffff = subseed derivation
 SUBSTREAM_MAIN = 0
@@ -20,6 +24,7 @@ SUBSTREAM_REDRAW = 1
 _SUBSTREAM_SUBSEED = 0xFFFFFFFF
 
 _INV_2_53 = 2.0 ** -53
+_INV_2_54 = 2.0 ** -54
 _BELOW_ONE = 1.0 - _INV_2_53  # largest double below 1
 # Philox blocks per row chunk of uniforms: few enough to stay in L2, enough
 # that curve/radii query threads seldom hand the GIL over between numpy calls
@@ -34,14 +39,38 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     words in the same form.  Products of two 32-bit words are exact in both,
     so the two forms give the same bits.  Never pass numpy scalars or 0-d
     arrays: NumPy 1.x promotes them, mixed with Python ints, to float64.
+
+    Round 1 runs on the words' own shapes (for uniforms, a row of blocks and
+    a column of samples).  When its words are arrays, rounds 2-10 write into
+    four new C-ordered buffers of their broadcast shape, which are returned;
+    the same statements run on Python ints, which they rebind.
     """
-    for _ in range(10):
-        p0 = c0 * 0xD2511F53
-        p1 = c2 * 0xCD9E8D57
-        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & _MASK32,
-                          (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32)
-        k0 = (k0 + 0x9E3779B9) & _MASK32
-        k1 = (k1 + 0xBB67AE85) & _MASK32
+    # literals, one constant tuple: derive_subseed's Python ints load no globals
+    m0, m1, shift, mask = 0xD2511F53, 0xCD9E8D57, 32, 0xFFFFFFFF
+    p0 = c0 * m0
+    p1 = c2 * m1
+    c0, c1, c2, c3 = (p1 >> shift) ^ c1 ^ k0, p1 & mask, (p0 >> shift) ^ c3 ^ k1, p0 & mask
+    # words 0 and 2 of round 1 read all four counter words, so they are
+    # Python ints only when every word is; a type test keeps that path fast
+    if type(c0) is not int or type(c2) is not int:
+        words = c0, c1, c2, c3
+        shape = np.broadcast_shapes(*map(np.shape, words))
+        c0, c1, c2, c3 = buffers = [np.empty(shape, dtype=np.uint64) for _ in words]
+        for buffer, w in zip(buffers, words):
+            buffer[...] = w
+        m0, m1, shift, mask = _ARRAY_OPERANDS
+    for _ in range(9):
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+        c2 *= m1
+        c0 *= m0
+        c1 ^= k0
+        c1 ^= c2 >> shift
+        c2 &= mask
+        c3 ^= k1
+        c3 ^= c0 >> shift
+        c0 &= mask
+        c0, c1, c2, c3 = c1, c2, c3, c0
     return c0, c1, c2, c3
 
 
@@ -86,9 +115,15 @@ def uniforms(seed: int, indices, n_draws: int, substream: int = SUBSTREAM_MAIN) 
         w0, w1, w2, w3 = philox4x32(blocks, substream, rows & _MASK32, rows >> 32,
                                     seed & _MASK32, seed >> 32)
         chunk = out[r:r + step]
-        chunk[:, 0::2] = (((w0 << 32) | w1) >> 11) + 0.5
-        chunk[:, 1::2] = (((w2 << 32) | w3) >> 11) + 0.5
-        chunk *= _INV_2_53
+        # the top 53 bits k of each 64-bit word pair, in place, then
+        # (k + 1/2) * 2**-53 as k * 2**-53 + 2**-54: scaling by a power of
+        # two is exact, so both round alike
+        for hi, lo, half in ((w0, w1, chunk[:, 0::2]), (w2, w3, chunk[:, 1::2])):
+            hi <<= 32
+            hi |= lo
+            hi >>= 11
+            np.multiply(hi, _INV_2_53, out=half)
+        chunk += _INV_2_54
         # from k = 2**52 on, k + 1/2 rounds half to even, so the top 53-bit
         # code k = 2**53 - 1 gives exactly 1.0; only that value moves, to
         # just below 1

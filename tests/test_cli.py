@@ -340,6 +340,19 @@ class TestQueryThreads:
         assert threads and all(t is threading.main_thread() for t in threads)
 
     @pytest.mark.parametrize("command", ["curve", "radii"])
+    def test_dense_multiply_adds_do_not_count(self, threshold_model_file, dataset_files,
+                                              tmp_path, monkeypatch, command):
+        # a gate of one multiply-add: the dense threshold model has no conv
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a dense-only sweep built a query pool")
+
+        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        assert self.sweep(command, threshold_model_file, dataset_files,
+                          str(tmp_path / "out.csv"), "8") == 0
+
+    @pytest.mark.parametrize("command", ["curve", "radii"])
     def test_heavy_sweep_uses_query_pool_with_same_body(self, threshold_model_file,
                                                         dataset_files, tmp_path,
                                                         monkeypatch, command):

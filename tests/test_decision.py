@@ -94,6 +94,21 @@ class TestQueryValidation:
         assert q.plan == plan_test(0.2, BUDGET, 0.1)
         assert replace(q, epsilon=0.01, epsilon_prime=None).plan == plan_test(0.01, BUDGET)
 
+    def test_at_radius_shares_all_but_ball_and_seed(self):
+        q = query_for(constant_model(0, num_labels=3), omega=(0, 2), clamp=(-1.0, 1.0))
+        probe = q.at_radius(0.25, 99)
+        assert (probe.radius, probe.seed) == (0.25, 99)
+        assert (q.radius, q.seed, q.ball.radius) == (0.5, 7, 0.5)
+        assert (probe.ball.radius, probe.ball.norm, probe.ball.clamp) == (0.25, "inf", (-1.0, 1.0))
+        assert np.shares_memory(probe.ball.center, q.center)  # no copy of the center
+        for name in ("plan", "mask", "center", "omega", "model", "budget"):
+            assert getattr(probe, name) is getattr(q, name)
+
+    @pytest.mark.parametrize("radius", [-0.1, math.inf, math.nan])
+    def test_at_radius_checks_the_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            query_for(constant_model(0)).at_radius(radius, 1)
+
     @pytest.mark.parametrize("epsilon,epsilon_prime",
                              [(0.0, None), (1.0, None), (math.nan, None), (0.1, 0.1)])
     def test_bad_epsilon_raises_at_construction(self, epsilon, epsilon_prime):
@@ -393,6 +408,24 @@ class TestEvaluate:
             seeds.clear()
             res = evaluate(q, radius_max=4.0, precision=0.5)
             assert seeds == [derive_subseed(20, k) for k in range(len(res.probes))]
+
+    def test_probes_reuse_the_plan_and_mask(self, monkeypatch):
+        q = RobustnessQuery(model=threshold_classifier(1, 0, 0.5), center=np.array([0.0]),
+                            radius=0.0, norm="inf", epsilon=0.2, omega=frozenset({0}),
+                            budget=ErrorBudget(0.05, 0.05), seed=20, epsilon_prime=0.1)
+        calls = []
+        for name in ("plan_test", "label_mask"):
+            real = getattr(decision, name)
+            monkeypatch.setattr(decision, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        probes = []
+        real_decide = decision.decide
+        monkeypatch.setattr(decision, "decide", lambda p: probes.append(p) or real_decide(p))
+        res = evaluate(q, radius_max=4.0, precision=0.5)
+        assert calls == ["label_mask"]  # the center check only
+        assert len(probes) == len(res.probes) > 1
+        assert all(p.plan is q.plan and p.mask is q.mask for p in probes)
+        assert [p.radius for p in probes] == [r for r, _ in res.probes]
 
     def test_deterministic(self):
         model = threshold_classifier(1, 0, 0.5)

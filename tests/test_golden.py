@@ -12,7 +12,8 @@ exact, so the forward bits do not depend on the BLAS build, its kernels or
 its thread count.  The forward hashes were re-recorded once, when dense
 moved from a fixed-order column loop to that split product.
 
-To re-record after a deliberate, documented change, print ``golden_hashes()``.
+To re-record after a deliberate, documented change, print ``golden_hashes()``
+or ``golden_probes()``.
 """
 
 import hashlib
@@ -20,10 +21,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from ewrobust.decision import RobustnessQuery, evaluate
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Normalize,
                          Relu, forward)
 from ewrobust.prng import derive_subseed, uniforms
 from ewrobust.sampling import NORMS, BallSpec, sample_batch
+from ewrobust.stats import ErrorBudget
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -73,6 +76,20 @@ GOLDEN_SUBSEEDS = {
     (TOY_RADII_SEED, 299): 0xbfcc58d3d493dee6,
 }
 
+# (norm, clamp) -> hash of evaluate()'s probes (radius, decision, successes,
+# samples_drawn) and r_star on the toy CNN, at the toy demo's statistics
+# (N = 36) and --batch 16, so that UNSAT probes stop early; recorded before
+# probes reused their point's plan and label mask.  The clamp changes no
+# count of these l1 probes, so the two l1 hashes agree.
+GOLDEN_PROBES = {
+    ("1", None): "a10d9fb10476f5d11b675926995f4e0d",
+    ("1", (0.0, 1.0)): "a10d9fb10476f5d11b675926995f4e0d",
+    ("2", None): "e7a9d8351924d870ee073cac266b63c7",
+    ("2", (0.0, 1.0)): "9bed668ccda3c7effc2924517c9b69bf",
+    ("inf", None): "93d229159839abe07458514e40b7d954",
+    ("inf", (0.0, 1.0)): "8c185dee600b7cff81f28461ec43094a",
+}
+
 
 def _digest(array: np.ndarray) -> str:
     data = np.ascontiguousarray(array, dtype="<f8").tobytes()
@@ -110,6 +127,17 @@ def _cnn() -> NetworkModel:
     ))
 
 
+def _toy() -> NetworkModel:
+    # the toy demo's architecture: (1,8,8) -> conv 1->2 -> pool 2 -> dense 18->10
+    return NetworkModel((1, 8, 8), 10, (
+        Conv2d(_values(61, (2, 1, 3, 3), 2.0), _values(62, (1, 2))[0], (1, 1), (0, 0)),
+        Relu(),
+        MaxPool2d((2, 2), (2, 2)),
+        Flatten(),
+        Dense(_values(63, (10, 18), 2.0), _values(64, (1, 10))[0]),
+    ))
+
+
 def _sample(norm: str, count: int) -> np.ndarray:
     spec = BallSpec(_values(31, (1, 24))[0], 0.3, norm)
     return sample_batch(spec, 2024, 1000, count)
@@ -130,8 +158,24 @@ def _output(case: str, size: int) -> np.ndarray:
     return _sample(what[1:], size) if kind == "sample" else _forward(what, size)
 
 
+def _probes(norm: str, clamp) -> str:
+    # row 50 of these candidates has the smallest logit margin (0.26), so
+    # the probes give both verdicts on every norm
+    center = 0.5 + 0.5 * _values(65, (64, 64))[50]
+    query = RobustnessQuery(_toy(), center, 0.0, norm, 0.2, {9}, ErrorBudget(0.05, 0.05),
+                            2025, batch_size=16, epsilon_prime=0.1, clamp=clamp)
+    result = evaluate(query, 1.0, 0.01)
+    lines = [f"{r.hex()} {v.decision} {v.successes} {v.samples_drawn}"
+             for r, v in result.probes] + [result.r_star.hex()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32]
+
+
 def golden_hashes() -> dict:
     return {f"{case}/{size}": _digest(_output(case, size)) for case, size in CASES}
+
+
+def golden_probes() -> dict:
+    return {key: _probes(*key) for key in GOLDEN_PROBES}
 
 
 @pytest.mark.parametrize("case,size", CASES)
@@ -143,3 +187,8 @@ def test_golden_hash(case, size):
 def test_golden_subseed(seed, k):
     value = derive_subseed(seed, k)
     assert type(value) is int and value == GOLDEN_SUBSEEDS[seed, k]
+
+
+@pytest.mark.parametrize("norm,clamp", list(GOLDEN_PROBES))
+def test_golden_probes(norm, clamp):
+    assert _probes(norm, clamp) == GOLDEN_PROBES[norm, clamp]

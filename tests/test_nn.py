@@ -532,20 +532,110 @@ class TestConvAndPoolSemantics:
         assert np.array_equal(out[0, 1], np.full((2, 2), -0.25))
 
 
-class TestMaddsPerRow:
-    def test_dense_counts_weights(self, rng):
-        # 5 -> 8 -> 3: 5*8 + 8*3 multiply-adds, relu none
-        assert nn.madds_per_row(random_dense_model(rng, 5, 3)) == 64
+def _first_layer_model(first: str) -> NetworkModel:
+    """A model whose first layer is of the given kind, then a dense to 2 labels."""
+    w = np.array([[1.0, -2.0, 0.5, 0.25], [-1.0, 0.5, 2.0, -0.75]])
+    head = Dense(w, np.array([0.5, -0.5]))
+    if first == "relu":
+        return NetworkModel((4,), 2, (Relu(), head))
+    if first == "maxpool2d":
+        return NetworkModel((1, 4, 4), 2, (MaxPool2d((2, 2), (2, 2)), Flatten(), head))
+    if first == "flatten":
+        return NetworkModel((1, 2, 2), 2, (Flatten(), head))
+    return NetworkModel((4,), 2, (Dense(np.eye(4), np.zeros(4)), head))
+
+
+class TestForwardFiniteness:
+    """Each case pins the layer that a check after every layer names."""
+
+    @pytest.mark.parametrize("first,value,layer", [
+        ("relu", math.inf, 0), ("relu", -math.inf, None), ("relu", math.nan, 0),
+        ("maxpool2d", math.inf, 0), ("maxpool2d", -math.inf, None),
+        ("maxpool2d", math.nan, 0),
+        ("flatten", math.inf, 0), ("flatten", -math.inf, 0), ("flatten", math.nan, 0),
+        ("dense", math.inf, 0), ("dense", -math.inf, 0), ("dense", math.nan, 0)])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_input(self, first, value, layer, where):
+        # one bad element among finite ones, in a 3-row batch; relu maps -inf
+        # to 0 and a window's max passes over it, so those pass through
+        model = _first_layer_model(first)
+        x = np.linspace(-1.0, 1.0, 3 * math.prod(model.input_shape))
+        x[where] = value
+        x = x.reshape((3,) + model.input_shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if layer is None:
+                assert np.isfinite(forward(model, x)).all()
+            else:
+                kind = model.layers[layer].kind
+                with pytest.raises(NumericOverflowError,
+                                   match=rf"after layer {layer} \({kind}\)"):
+                    forward(model, x)
+
+    def test_all_negative_infinity_window_is_reported(self):
+        model = _first_layer_model("maxpool2d")
+        x = np.zeros((2, 1, 4, 4))
+        x[1, 0, :2, :2] = -math.inf
+        with pytest.raises(NumericOverflowError, match=r"after layer 0 \(maxpool2d\)"):
+            forward(model, x)
+
+    @pytest.mark.parametrize("kind", ["dense", "conv2d", "normalize"])
+    def test_overflow_inside_a_layer(self, kind):
+        # finite input, relu first; the layer after it overflows
+        if kind == "dense":
+            layers = (Relu(), Dense(np.full((3, 4), 1e300), np.zeros(3)), Relu(),
+                      Dense(np.ones((2, 3)), np.zeros(2)))
+            shape = (4,)
+        elif kind == "conv2d":
+            layers = (Relu(), Conv2d(np.full((1, 1, 2, 2), 1e300), np.zeros(1), (1, 1), (0, 0)),
+                      Flatten(), Dense(np.ones((2, 4)), np.zeros(2)))
+            shape = (1, 3, 3)
+        else:
+            layers = (Relu(), Normalize(np.zeros(1), np.array([1e-300])), Flatten(),
+                      Dense(np.ones((2, 4)), np.zeros(2)))
+            shape = (1, 2, 2)
+        model = NetworkModel(shape, 2, layers)
+        x = np.full((3,) + shape, 1e10)
+        x[0] = 1.0  # one finite row beside two that overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=rf"after layer 1 \({kind}\)"):
+                forward(model, x)
+
+    def test_overflow_in_a_later_dense(self):
+        # the first dense stays finite (1e160); the second overflows
+        layers = (Dense(np.full((3, 4), 1e150), np.zeros(3)), Relu(), Flatten(),
+                  Dense(np.full((2, 3), 1e200), np.zeros(2)))
+        model = NetworkModel((4,), 2, layers)
+        with pytest.raises(NumericOverflowError, match=r"after layer 3 \(dense\)"):
+            forward(model, np.full((2, 4), 1e10))
+
+    @pytest.mark.parametrize("rows_innermost", [False, True])
+    def test_maxpool_is_the_max_over_window_offsets(self, rng, rows_innermost):
+        # rows innermost: the batch-first view of (C, H, W, n) that conv2d returns
+        layer = MaxPool2d((3, 2), (2, 1))
+        x = rng.normal(size=(4, 2, 9, 7))
+        if rows_innermost:
+            x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        before = x.copy()
+        want = np.max([x[:, :, i:i + 7:2, j:j + 6] for i in range(3) for j in range(2)], axis=0)
+        assert np.array_equal(layer.apply(x), want)
+        assert np.array_equal(x, before)  # the input is left as it was
+
+
+class TestConvMaddsPerRow:
+    def test_dense_counts_none(self, rng):
+        assert nn.conv_madds_per_row(random_dense_model(rng, 5, 3)) == 0
 
     def test_conv_counts_weights_per_output_pixel(self, rng):
         # (2, 9, 7) -> conv 4x2x3x3, stride (2, 1), padding (1, 0) -> (4, 5, 5)
-        # -> pool 2 -> (4, 2, 2) -> dense 16 -> 3
+        # -> pool 2 -> (4, 2, 2) -> dense 16 -> 3, which does not count
         conv = Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (2, 1), (1, 0))
         model = NetworkModel((2, 9, 7), 3, (
             conv, Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
             Dense(rng.normal(size=(3, 16)), rng.normal(size=3))))
         assert conv.out_shape((2, 9, 7)) == (4, 5, 5)
-        assert nn.madds_per_row(model) == 4 * 2 * 3 * 3 * 5 * 5 + 3 * 16
+        assert nn.conv_madds_per_row(model) == 4 * 2 * 3 * 3 * 5 * 5
 
 
 class TestPredict:

@@ -52,6 +52,65 @@ def test_vectorized_matches_scalar_reference(ctrs, key):
             == [_philox_reference(ctr, key) for ctr in ctrs])
 
 
+def _uniforms_from_ints(seed, indices, n_draws, substream):
+    """uniforms from Philox's Python-int path, one block at a time, and the
+    conversion as documented: (k + 1/2) * 2**-53 for the top 53 bits k of
+    each word pair, with 1.0 moved to the largest double below it."""
+    rows = []
+    for i in indices:
+        row = []
+        for block in range((n_draws + 1) // 2):
+            w = philox4x32(block, substream, i & 0xFFFFFFFF, i >> 32,
+                           seed & 0xFFFFFFFF, seed >> 32)
+            for hi, lo in ((w[0], w[1]), (w[2], w[3])):
+                k = ((hi << 32) | lo) >> 11
+                row.append(min((k + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
+        rows.append(row[:n_draws])
+    return np.array(rows, dtype=np.float64).reshape(len(indices), n_draws)
+
+
+@pytest.mark.parametrize("first,rows,draws,budget,substream", [
+    (0, 1, 1, None, 0),            # one row, one draw
+    (7, 1, 7, None, 0),            # odd draw counts
+    (3, 5, 3, None, 0),
+    (0, 5, 6, 3, 0),               # chunks of one row
+    (0, 5, 6, 6, 0),               # chunks of two rows, the last one partial
+    (0, 6, 5, 9, 0),               # chunks of three rows, none partial
+    (2**64 - 4, 4, 5, None, 0),    # indices up to 2**64 - 1
+    (2**32 - 2, 4, 3, 2, 0),       # the low index word wraps inside a chunk
+    (11, 4, 9, None, 1),           # the redraw substream
+])
+def test_buffered_rounds_match_python_int_path(monkeypatch, first, rows, draws, budget,
+                                               substream):
+    if budget is not None:
+        monkeypatch.setattr(prng, "_PHILOX_CHUNK_BLOCKS", budget)
+    indices = [first + k for k in range(rows)]
+    seed = 0xFEEDFACE12345678
+    got = uniforms(seed, np.array(indices, dtype=np.uint64), draws, substream=substream)
+    assert np.array_equal(got, _uniforms_from_ints(seed, indices, draws, substream))
+
+
+def test_broadcast_words_match_python_int_path():
+    # a row of blocks against a column of samples, as uniforms calls it
+    blocks = np.arange(3, dtype=np.uint64)
+    rows = np.array([[5], [2**32 + 1]], dtype=np.uint64)
+    out = philox4x32(blocks, 1, rows & 0xFFFFFFFF, rows >> 32, 0xABCDEF, 0x123)
+    assert all(w.shape == (2, 3) and w.dtype == np.uint64 and w.flags.c_contiguous
+               for w in out)
+    for r, row in enumerate(rows[:, 0].tolist()):
+        for b in range(3):
+            want = philox4x32(b, 1, row & 0xFFFFFFFF, row >> 32, 0xABCDEF, 0x123)
+            assert tuple(int(w[r, b]) for w in out) == want
+
+
+def test_counter_words_left_unchanged():
+    # rounds 2-10 write into buffers of their own, never into the arguments
+    words = [np.arange(4, dtype=np.uint64) + k for k in range(4)]
+    before = [w.copy() for w in words]
+    philox4x32(*words, 1, 2)
+    assert all(np.array_equal(w, b) for w, b in zip(words, before))
+
+
 def test_uniforms_open_interval():
     u = uniforms(123, np.arange(1000), 8)
     assert u.shape == (1000, 8)

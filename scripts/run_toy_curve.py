@@ -36,7 +36,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--radius-grid", default="0.0:0.3:0.05")
     parser.add_argument("--eps", type=float, default=0.2)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     workdir = pathlib.Path(args.workdir)
@@ -59,7 +58,7 @@ def main() -> int:
                    "--radius-grid", args.radius_grid,
                    "--eps", str(args.eps), "--eps-prime", str(args.eps / 2),
                    "--alpha", "0.05", "--beta", "0.05",
-                   "--seed", str(args.seed), "--workers", str(args.workers),
+                   "--seed", str(args.seed),
                    "--out", str(curve_path)])
     if rc != 0:
         return rc

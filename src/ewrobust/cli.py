@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -26,17 +25,13 @@ from .data import fmt, load_dataset, load_inputs, load_labels, write_report
 from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
                        decide, evaluate, point_check)
 from .gadgets import DimacsError, build_gadget, parse_dimacs
-from .nn import ModelError, _usable_cpus, conv_madds_per_row, dump_model, load_model, predict
+from .nn import ModelError, dump_model, load_model, predict
 from .prng import derive_subseed
 from .stats import ErrorBudget, plan_test
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_BETA = 0.001
 MAX_GRID_RADII = 1_000_000  # a longer --radius-grid is a usage error, not a huge list
-# conv2d multiply-adds of one query batch from which sweeps run their queries
-# on threads; on 2 vCPUs threads lost below about 1M and won above about 3M.
-# Dense layers do not count: they already run on every CPU through the BLAS.
-QUERY_THREAD_MADDS = 2_000_000
 
 
 class UsageError(ValueError):
@@ -201,28 +196,11 @@ def _load_sweep(args):
     return model, dataset, omega, query
 
 
-def _map_queries(args, prototype, fn, items) -> list:
-    """[fn(item) for item in items], on a pool of query threads only when
-    more than one worker may run and the conv2d layers of one batch's forward
-    pass (min(--batch, N) rows) reach QUERY_THREAD_MADDS multiply-adds.
-    Otherwise in order on the calling thread, where a multi-tile conv still
-    uses the tile pool.
-    Queries are independent and their samples counter-based, so the results
-    do not depend on which way they run."""
-    workers = min(args.workers, _usable_cpus())
-    rows = min(args.batch, prototype.plan.N)
-    if workers < 2 or rows * conv_madds_per_row(prototype.model) < QUERY_THREAD_MADDS:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _run_metadata(args, plan=None) -> list[str]:
     md = [f"ewrobust {__version__}",
           f"seed={args.seed} norm={args.norm} eps={args.eps} "
           f"eps_prime={args.eps_prime} alpha={args.alpha} beta={args.beta}",
-          f"clamp={args.clamp or 'off'} batch={args.batch} "
-          f"workers={getattr(args, 'workers', 1)}"]
+          f"clamp={args.clamp or 'off'} batch={args.batch}"]
     if plan is not None:
         md.append(f"plan: N={plan.N} c={fmt(plan.c)} eps_prime={fmt(plan.epsilon_prime)}")
     return md
@@ -296,7 +274,7 @@ def cmd_curve(args) -> int:
 
     rows = []
     for ri, radius in enumerate(grid):
-        n_sat = sum(_map_queries(args, prototype, lambda pi: point(ri, radius, pi), keep))
+        n_sat = sum(point(ri, radius, pi) for pi in keep)
         rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
     write_report(args.out or sys.stdout, _run_metadata(args),
                  ["radius", "n_points", "n_sat", "fraction_sat"], rows)
@@ -306,22 +284,18 @@ def cmd_curve(args) -> int:
 def cmd_radii(args) -> int:
     model, dataset, omega, prototype = _load_sweep(args)
 
-    def point(pi):
-        gold = int(dataset.labels[pi])
-        query = replace(prototype, center=dataset.inputs[pi], omega=omega or {gold},
-                        seed=derive_subseed(args.seed, pi))
-        try:
-            return gold, evaluate(query, args.radius_max, args.precision).r_star
-        except CenterMisclassifiedError:
-            return gold, None  # flagged, excluded from summaries
-
-    results = _map_queries(args, prototype, point, range(len(dataset)))
     rows = []
     by_class: dict[int, list[float]] = {}
-    for pid, (gold, r_star) in enumerate(results):
+    for pid in range(len(dataset)):
+        gold = int(dataset.labels[pid])
+        query = replace(prototype, center=dataset.inputs[pid], omega=omega or {gold},
+                        seed=derive_subseed(args.seed, pid))
+        try:
+            r_star = evaluate(query, args.radius_max, args.precision).r_star
+        except CenterMisclassifiedError:
+            r_star = None  # flagged, excluded from summaries
         flagged = r_star is None
-        rows.append(["point", pid, gold,
-                     None if flagged else r_star, int(flagged), None, None])
+        rows.append(["point", pid, gold, r_star, int(flagged), None, None])
         if not flagged:
             by_class.setdefault(gold, []).append(r_star)
     for gold in sorted(by_class):
@@ -400,9 +374,9 @@ def _add_common(sub, *, sweep=False):
     sub.add_argument("--batch", type=_POSITIVE_INT, default=256,
                      help="largest number of samples per batch")
     if sweep:
-        sub.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
-                         help="query threads for heavy queries (default: usable CPUs); "
-                              "never changes results")
+        sub.add_argument("--workers", type=_POSITIVE_INT,
+                         help="accepted and ignored: queries run in order, and conv "
+                              "tiles and the BLAS use every usable CPU")
     else:
         sub.add_argument("--input", help="single-point CSV (first row used)")
         sub.add_argument("--index", type=int, help="row index into --dataset")

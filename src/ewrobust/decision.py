@@ -151,8 +151,9 @@ def point_check(model: NetworkModel, center: np.ndarray, omega) -> bool:
 
 def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
              oracle: Callable[[float], Verdict] | None = None) -> RadiusResult:
-    """Largest radius (within `precision`) at which the decision oracle
-    answers SAT, by midpoint bisection on [0, radius_max].
+    """Largest radius at which the decision oracle answers SAT, by midpoint
+    bisection on [0, radius_max], until the bracket is within `precision` or
+    no float lies strictly inside it.
 
     `oracle` overrides the per-radius decision procedure (stub oracles for
     tests); by default each probe runs decide() at that radius with a
@@ -178,6 +179,8 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
     r_max = radius_max
     while r_max - r_min > precision:
         r = (r_min + r_max) / 2.0
+        if not r_min < r < r_max:
+            break  # a precision below the float spacing of the bracket
         verdict = oracle(r)
         probes.append((r, verdict))
         if verdict.decision == SAT:

@@ -167,9 +167,9 @@ def _run_tiles(run, tiles) -> None:
     """run(tiles) on the caller and the workers of one process-wide pool,
     created on first use with a worker per usable CPU but the caller's.  Each
     takes the next tile from one shared iterator until none is left.  A single
-    tile, a single CPU or a caller other than the main thread (a query thread
-    of curve/radii, or a tile worker) runs every tile inline, so pools never
-    nest."""
+    tile, a single CPU or a caller other than the main thread (a tile worker,
+    or a thread of a library caller) runs every tile inline, so pools never
+    nest and only one thread ever creates the pool, which needs no lock."""
     global _tile_pool
     cpus = _usable_cpus()
     helpers = min(len(tiles), cpus) - 1
@@ -378,18 +378,6 @@ def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
                     f"non-finite value after layer {idx} ({layer.kind})")
             finite = True
     return x
-
-
-def conv_madds_per_row(model: NetworkModel) -> int:
-    """Multiply-adds of one row's conv2d layers: weight.size per output
-    pixel of each."""
-    total, shape = 0, model.input_shape
-    for layer in model.layers:
-        out = layer.out_shape(shape)
-        if layer.kind == "conv2d":
-            total += layer.weight.size * out[1] * out[2]
-        shape = out
-    return total
 
 
 def predict(model: NetworkModel, batch: np.ndarray) -> np.ndarray:

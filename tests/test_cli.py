@@ -1,11 +1,10 @@
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from ewrobust import cli, decision
+from ewrobust import cli, decision, nn
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
@@ -41,8 +40,7 @@ def dataset_files(tmp_path):
 
 def fake_decide(monkeypatch, r_true):
     """Replace decision.decide by a noiseless oracle: SAT iff the probe radius
-    is at most r_true(center).  Keyed on the center, not on call order, since
-    radii may run its points in threads."""
+    is at most r_true(center)."""
     def decide(query):
         sat = query.radius <= r_true(query.center)
         return Verdict(SAT if sat else UNSAT, 0, 0, query.plan,
@@ -53,6 +51,19 @@ def fake_decide(monkeypatch, r_true):
 def body_lines(path):
     with open(path, encoding="utf-8") as fh:
         return [line for line in fh if not line.startswith("#")]
+
+
+SEARCH = {"curve": ["--radius", "0.05,0.2,1.0"],
+          "radii": ["--radius-max", "2", "--precision", "0.25"]}
+
+
+def sweep(command, model, data, out, *extra):
+    """curve (three radii) or radii over the 12 points of dataset_files."""
+    inp, lab = data
+    return main([command, "--model", model, "--dataset", inp, "--labels", lab,
+                 "--shape", "2", *SEARCH[command], "--eps", "0.2",
+                 "--eps-prime", "0.1", "--alpha", "0.05", "--beta", "0.05",
+                 "--seed", "7", "--out", out, *extra])
 
 
 class TestDecide:
@@ -173,31 +184,31 @@ class TestEvaluate:
 
 
 class TestCurve:
-    def run(self, model, data, out, extra=()):
-        inp, lab = data
-        return main(["curve", "--model", model, "--dataset", inp, "--labels", lab,
-                     "--shape", "2", "--radius", "0.05,0.2,1.0", "--eps", "0.2",
-                     "--eps-prime", "0.1", "--alpha", "0.05", "--beta", "0.05",
-                     "--seed", "7", "--out", out, *extra])
+    # command -> report header and body rows (3 radii; 12 points and 2 classes)
+    BODY = {"curve": (["radius", "n_points", "n_sat", "fraction_sat"], 3),
+            "radii": (["kind", "id", "gold", "r_star", "misclassified", "mean", "std"], 14)}
 
+    @pytest.mark.parametrize("command", list(BODY))
     def test_body_reproducible_across_worker_counts(self, threshold_model_file,
-                                                    dataset_files, tmp_path):
+                                                    dataset_files, tmp_path, command):
+        # --workers is ignored: the whole report, metadata too, is the same
         outs = []
         for workers in ("1", "8"):
-            path = tmp_path / f"curve_{workers}.csv"
-            rc = self.run(threshold_model_file, dataset_files, str(path),
-                          ("--workers", workers))
-            assert rc == 0
-            outs.append(body_lines(path))
+            path = tmp_path / f"{command}_{workers}.csv"
+            assert sweep(command, threshold_model_file, dataset_files, str(path),
+                         "--workers", workers) == 0
+            outs.append(path.read_bytes())
         assert outs[0] == outs[1]
-        header = outs[0][0].strip().split(",")
-        assert header == ["radius", "n_points", "n_sat", "fraction_sat"]
-        assert len(outs[0]) == 4  # header + 3 radii
+        assert b"workers=" not in outs[0]
+        header, rows = self.BODY[command]
+        body = body_lines(tmp_path / f"{command}_1.csv")
+        assert body[0].strip().split(",") == header
+        assert len(body) == 1 + rows
 
     def test_fraction_monotone_for_threshold_model(self, threshold_model_file,
                                                    dataset_files, tmp_path):
         path = tmp_path / "curve.csv"
-        self.run(threshold_model_file, dataset_files, str(path))
+        sweep("curve", threshold_model_file, dataset_files, str(path))
         fracs = [float(line.strip().split(",")[-1]) for line in body_lines(path)[1:]]
         assert fracs == sorted(fracs, reverse=True)
 
@@ -206,7 +217,7 @@ class TestCurve:
         model = tmp_path / "skew.json"
         model.write_text(dump_model(threshold_classifier(2, 0, -2.0)))
         path = tmp_path / "curve.csv"
-        rc = self.run(str(model), dataset_files, str(path), ("--correct-only",))
+        rc = sweep("curve", str(model), dataset_files, str(path), "--correct-only")
         assert rc == 0
         n_points = int(body_lines(path)[1].strip().split(",")[1])
         assert n_points < 12
@@ -216,7 +227,7 @@ class TestCurve:
         model = tmp_path / "skew.json"
         model.write_text(dump_model(threshold_classifier(2, 0, 0.0)))
         whole = tmp_path / "whole.csv"
-        assert self.run(str(model), dataset_files, str(whole), ("--correct-only",)) == 0
+        assert sweep("curve", str(model), dataset_files, str(whole), "--correct-only") == 0
         sizes = []
 
         def counting_predict(m, batch):
@@ -225,8 +236,8 @@ class TestCurve:
 
         monkeypatch.setattr(cli, "predict", counting_predict)
         chunked = tmp_path / "chunked.csv"
-        assert self.run(str(model), dataset_files, str(chunked),
-                        ("--correct-only", "--batch", "5")) == 0
+        assert sweep("curve", str(model), dataset_files, str(chunked),
+                     "--correct-only", "--batch", "5") == 0
         assert sizes == [5, 5, 2]
         assert body_lines(chunked) == body_lines(whole)
         inputs = np.loadtxt(dataset_files[0], delimiter=",")
@@ -301,104 +312,25 @@ class TestRadii:
         assert rc == 2
 
 
-class TestQueryThreads:
-    """curve and radii run light queries in order on the main thread and put
-    heavy ones on query threads; the report body is the same either way."""
-    SEARCH = {"curve": ["--radius", "0.05,0.2,1.0"],
-              "radii": ["--radius-max", "2", "--precision", "0.25"]}
+class TestSweepThreads:
     QUERY = {"curve": "decide", "radii": "evaluate"}  # what each runs per point
 
-    def sweep(self, command, model, data, out, workers):
-        inp, lab = data
-        return main([command, "--model", model, "--dataset", inp, "--labels", lab,
-                     "--shape", "2", *self.SEARCH[command], "--eps", "0.2",
-                     "--eps-prime", "0.1", "--alpha", "0.05", "--beta", "0.05",
-                     "--seed", "7", "--workers", workers, "--out", out])
-
-    def record_threads(self, monkeypatch, command):
-        threads = []
-        query = getattr(cli, self.QUERY[command])
+    @pytest.mark.parametrize("command", ["curve", "radii"])
+    def test_every_query_runs_on_main_thread(self, threshold_model_file, dataset_files,
+                                             tmp_path, monkeypatch, command):
+        # eight usable CPUs and --workers 8: still one query at a time, in order
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 8)
+        threads, query = [], getattr(cli, self.QUERY[command])
 
         def recording(*args):
             threads.append(threading.current_thread())
             return query(*args)
 
         monkeypatch.setattr(cli, self.QUERY[command], recording)
-        return threads
-
-    @pytest.mark.parametrize("command", ["curve", "radii"])
-    def test_light_sweep_builds_no_query_pool(self, threshold_model_file, dataset_files,
-                                              tmp_path, monkeypatch, command):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a light sweep built a query pool")
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-        threads = self.record_threads(monkeypatch, command)
-        assert self.sweep(command, threshold_model_file, dataset_files,
-                          str(tmp_path / "out.csv"), "8") == 0
-        assert threads and all(t is threading.main_thread() for t in threads)
-
-    @pytest.mark.parametrize("command", ["curve", "radii"])
-    def test_dense_multiply_adds_do_not_count(self, threshold_model_file, dataset_files,
-                                              tmp_path, monkeypatch, command):
-        # a gate of one multiply-add: the dense threshold model has no conv
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a dense-only sweep built a query pool")
-
-        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 1)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-        assert self.sweep(command, threshold_model_file, dataset_files,
-                          str(tmp_path / "out.csv"), "8") == 0
-
-    @pytest.mark.parametrize("command", ["curve", "radii"])
-    def test_heavy_sweep_uses_query_pool_with_same_body(self, threshold_model_file,
-                                                        dataset_files, tmp_path,
-                                                        monkeypatch, command):
-        pools = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-        threads = self.record_threads(monkeypatch, command)
-        bodies = []
-        for workers in ("1", "2"):
-            path = tmp_path / f"{command}_{workers}.csv"
-            assert self.sweep(command, threshold_model_file, dataset_files,
-                              str(path), workers) == 0
-            bodies.append(body_lines(path))
-        assert bodies[0] == bodies[1]
-        # one pool per curve radius, one for all radii points; capped at the CPUs
-        assert pools == [2] * (3 if command == "curve" else 1)
-        assert any(t is not threading.main_thread() for t in threads)
-
-    @pytest.mark.parametrize("workers,cpus", [("1", 8), ("8", 1)])
-    @pytest.mark.parametrize("command", ["curve", "radii"])
-    def test_one_worker_runs_every_query_on_main_thread(self, threshold_model_file,
-                                                        dataset_files, tmp_path,
-                                                        monkeypatch, command, workers,
-                                                        cpus):
-        # one worker: --workers 1, or one CPU the process may use
-        monkeypatch.setattr(cli, "QUERY_THREAD_MADDS", 0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        threads = self.record_threads(monkeypatch, command)
-        assert self.sweep(command, threshold_model_file, dataset_files,
-                          str(tmp_path / "out.csv"), workers) == 0
+        assert sweep(command, threshold_model_file, dataset_files,
+                     str(tmp_path / "out.csv"), "--workers", "8") == 0
         assert len(threads) == 12 * (3 if command == "curve" else 1)
         assert all(t is threading.main_thread() for t in threads)
-
-    def test_workers_default_to_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        for command, search in self.SEARCH.items():
-            args = cli.build_parser().parse_args([command, "--model", "m", "--eps", "0.1",
-                                                  *search])
-            assert args.workers == 3
 
 
 class TestGadget:

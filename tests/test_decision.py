@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -337,9 +338,44 @@ def stub_oracle(r_true: float):
     return oracle
 
 
+# (r_true, radius_max, precision) -> probe count, r_star, and a digest of
+# stub_oracle's probe radii and r_star in hex.  The rows above 1e-300 were
+# recorded before bisection stopped at a bracket with no float inside.  At
+# 1e-300, below the float spacing, the midpoint comes to round to an end of
+# the bracket, where the search must stop rather than probe that end again.
+RECORDED_PROBES = {
+    (0.3, 1.0, 0.01): (7, 0.296875, "6d3667d8f5ab68f2"),
+    (0.3, 16.0, 1e-9): (34, 0.2999999998137355, "51c86cd8a2167a34"),
+    (0.3, 16.0, 1e-14): (51, 0.29999999999999716, "c9a1d832725beb72"),
+    (0.3, 1.0, 1e-16): (54, 0.3, "40df552bd23bd777"),
+    (math.inf, 16.0, 1e-14): (51, 15.999999999999993, "aa502fd80912a9f5"),
+    (-1.0, 16.0, 1e-9): (34, 0.0, "e6b747529c8eb342"),
+    (0.3, 1.0, 1e-300): (54, 0.3, "40df552bd23bd777"),
+    (0.7, 1.0, 1e-300): (53, 0.7, "7a78b0a472d95341"),
+    (math.inf, 1.0, 1e-300): (53, 0.9999999999999999, "760f014ccc978074"),
+}
+
+
 class TestEvaluate:
     def query(self):
         return query_for(constant_model(0), radius=0.0)
+
+    @pytest.mark.parametrize("r_true,radius_max,precision", list(RECORDED_PROBES))
+    def test_recorded_probes(self, r_true, radius_max, precision):
+        oracle, probes = stub_oracle(r_true), []
+
+        def capped(r):
+            probes.append(r)
+            if len(probes) > 200:
+                raise AssertionError(f"still probing r={r!r} after 200 probes")
+            return oracle(r)
+
+        res = evaluate(self.query(), radius_max, precision, oracle=capped)
+        assert all(0.0 < r < radius_max for r in probes)  # never a bracket end
+        lines = [r.hex() for r in probes] + [res.r_star.hex()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert (len(probes), res.r_star, digest) == RECORDED_PROBES[
+            r_true, radius_max, precision]
 
     def test_bisection_converges_to_true_radius(self):
         res = evaluate(self.query(), radius_max=16.0, precision=0.01,

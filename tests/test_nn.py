@@ -623,21 +623,6 @@ class TestForwardFiniteness:
         assert np.array_equal(x, before)  # the input is left as it was
 
 
-class TestConvMaddsPerRow:
-    def test_dense_counts_none(self, rng):
-        assert nn.conv_madds_per_row(random_dense_model(rng, 5, 3)) == 0
-
-    def test_conv_counts_weights_per_output_pixel(self, rng):
-        # (2, 9, 7) -> conv 4x2x3x3, stride (2, 1), padding (1, 0) -> (4, 5, 5)
-        # -> pool 2 -> (4, 2, 2) -> dense 16 -> 3, which does not count
-        conv = Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (2, 1), (1, 0))
-        model = NetworkModel((2, 9, 7), 3, (
-            conv, Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
-            Dense(rng.normal(size=(3, 16)), rng.normal(size=3))))
-        assert conv.out_shape((2, 9, 7)) == (4, 5, 5)
-        assert nn.conv_madds_per_row(model) == 4 * 2 * 3 * 3 * 5 * 5
-
-
 class TestPredict:
     def test_argmax(self):
         model = dense_model([[1, 0], [0, 1]], [0, 0])

@@ -7,14 +7,45 @@ k single-row passes regardless of how callers batch their inputs.
 
 Dense is an exact split product through the BLAS (Ozaki, Ogita, Oishi &
 Rump, Numer. Algorithms 2012): each row of the input and of the weight is
-scaled by a power of two and cut into three slices of
+scaled by 2**-e, e its frexp exponent, and cut into three slices of
 floor((53 - ceil(log2 n)) / 2) bits, so that every sum of n slice-pair
 products is exact in float64 whatever the BLAS, its kernels or its thread
 count.  The six pairs (i, j) with i + j < 3 are added in a fixed order,
-smallest first, scaled back, and the bias is added.  The error is at most
-two roundings of sum|x w| + |b| plus 8 n 2**(-3 bits) max|x| max|w| for the
-slices dropped.  Conv keeps an explicit fixed accumulation order: bias, then
-each input channel and kernel offset in turn.
+smallest first, scaled back, and the bias is added.  With u = 2**-53 and
+g_k = k u / (1 - k u), those six roundings err by at most
+g_6 (20 sum|x w| + |b|), since a row's slices sum in magnitude to at most
+4.25 times the row; the slices dropped add at most
+8 n 2**(-3 bits) 2**(e_x + e_w).  Conv keeps an explicit fixed accumulation
+order: bias, then each input channel and kernel offset in turn.
+
+`indicative` needs only each row's argmax, and takes it from plain float64
+gemms on the dense tail: the longest run of dense, relu and flatten layers
+that ends the model, from its first dense.  The layers before the tail run
+through `forward`.  If a tail dense of input width n gets a fast input x^
+with |x^ - x| <= d elementwise, x being forward's input (d = 0 entering the
+tail), its fast logits y^ = x^ W' + b differ from forward's y by at most
+
+    |W| d + g_{n+1} (|x^| |W|' + |b|) + E(|x^| + d),
+
+the g term in any summation order, with or without FMA (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., sections 3.1-3.5), and E(|x|)
+the split product's error above.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52
+and 2**(e_x + e_w) <= 4 max|x| max|w|, that is at most
+
+    (1 + g_120) |W| d + g_{n+121} (|x^| |W|' + |b|)
+        + 32 n 2**(-3 bits) max(|x^| + d) max|w|,
+
+the next layer's d.  Relu and flatten leave d as it is.  An underflow loses
+at most 2**-1075, which (n + 8)(1 + max|w|) 2**-1022 covers.  The bound is a
+float sum of non-negative terms, each of which passes through at most n + 8
+roundings, so each carries a factor 1 + (n + 10) 2**-52 >= (1 - u)**-(n + 8)
+to stay an upper bound.  A row keeps the fast argmax t only when
+y^_t - max_{j != t} y^_j > 2 max d: then y_t > y_j for every j != t, and
+forward's argmax is t.  Every other row, an exact tie among them, re-runs
+through `forward`.  So does the whole batch when a bound is not finite or so
+large that |y^| + 2 d + |b| might reach 2**1022 (|y^| is at most about
+d / g_{n+121} + |b|); below that, forward's own intermediates cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -122,6 +153,29 @@ class Dense:
         bits = _slice_bits(self.weight.shape[1])
         slices, e = _split(self.weight, bits)
         return np.ascontiguousarray(slices.transpose(0, 2, 1)), e, bits
+
+    @functools.cached_property
+    def _bound_terms(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
+        """The fast tail's bound terms (module docstring), made on the first
+        fast call and kept on the layer: g |W|; the factor of d that makes
+        (1 + 20 g_6) |W| d of the same gemm; the bias and underflow term and
+        the factor of max(|x^| + d) that bounds the dropped slices, both per
+        output; and the limit on the bound below which nothing can overflow.
+        Every term carries 1 + (n + 10) 2**-52 for the bound's own roundings."""
+        n = self.weight.shape[1]
+        gw = np.abs(self.weight)
+        wmax = np.maximum.reduce(gw, axis=1, initial=0.0)
+        g = (n + 121) * 2.0 ** -52  # >= g_{n+1} + 20 g_6
+        grow = 1 + (n + 10) * 2.0 ** -52  # >= (1 - u)**-(n + 8)
+        # 2**-1074 keeps a product that underflows an upper bound
+        gw *= g * grow
+        gw += 2.0 ** -1074
+        floor = (g * np.abs(self.bias) + (1.0 + wmax) * 2.0 ** -1022 * (n + 8)) * grow
+        # 2**(e_x + e_w) <= 4 max|x| max|w|
+        drop = (wmax * (32 * n * 2.0 ** (-3 * _slice_bits(n))) + 2.0 ** -1074) * grow
+        # |y^| <= bound / g + |b| up to roundings, so |y^| + 2 d + |b| < 2**1022
+        limit = (2.0 ** 1021 - 3 * np.abs(self.bias).max(initial=0.0)) / (1 / g + 3)
+        return gw, (1 + 120 * 2.0 ** -52) / g, floor, drop, limit
 
     def apply(self, x):
         wt, ew, bits = self._weight_split
@@ -296,7 +350,7 @@ class Flatten:
         return (math.prod(in_shape),)
 
     def apply(self, x):
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also for 0 rows
 
 
 @dataclass(frozen=True)
@@ -347,29 +401,47 @@ class NetworkModel:
             raise ShapeMismatchError(
                 f"network output shape {shape} does not match num_labels={self.num_labels}")
 
+    @functools.cached_property
+    def _tail_start(self) -> int:
+        """Index of the dense tail's first layer, len(layers) if it has none."""
+        start = len(self.layers)
+        for idx in reversed(range(len(self.layers))):
+            kind = self.layers[idx].kind
+            if kind not in ("dense", "relu", "flatten"):
+                break
+            if kind == "dense":
+                start = idx
+        return start
+
 
 # layers whose output is finite wherever their input is: max, relu and
 # reshape make no new values
 _KEEPS_FINITE = frozenset({"relu", "maxpool2d", "flatten"})
 
 
-def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
-    """Logits of shape (batch, num_labels); raises on shape mismatch or
-    non-finite intermediates, naming the first layer with a non-finite
-    output.  Once a layer's output is checked finite, relu, maxpool2d and
-    flatten are not checked until the next dense, conv2d or normalize: the
-    first non-finite output can only come from one of those."""
+def _as_rows(model: NetworkModel, batch) -> np.ndarray:
+    """batch as float64 rows of the model's input shape; one input is one row."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == len(model.input_shape):  # single row convenience
         batch = batch[None]
     if batch.shape[1:] != model.input_shape:
         raise ShapeMismatchError(
             f"input shape {batch.shape[1:]} does not match model input {model.input_shape}")
-    x = batch
+    return batch
+
+
+def forward(model: NetworkModel, batch: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Logits of shape (batch, num_labels), or with stop the output of the
+    layers before index stop; raises on shape mismatch or non-finite
+    intermediates, naming the first layer with a non-finite output.  Once a
+    layer's output is checked finite, relu, maxpool2d and flatten are not
+    checked until the next dense, conv2d or normalize: the first non-finite
+    output can only come from one of those."""
+    x = _as_rows(model, batch)
     finite = False  # x is known to be finite
     # overflow surfaces as the NumericOverflowError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, layer in enumerate(model.layers):
+        for idx, layer in enumerate(model.layers[:stop]):
             x = layer.apply(x)
             if finite and layer.kind in _KEEPS_FINITE:
                 continue
@@ -399,10 +471,60 @@ def label_mask(model: NetworkModel, omega) -> np.ndarray:
     return mask
 
 
+def _fast_tail(layers, x: np.ndarray):
+    """(labels, settled) of the rows x through the dense tail: the argmax of
+    plain float64 logits, settled where the bound of the module docstring
+    proves it forward's; None when a bound is not finite or near overflow."""
+    bound = None
+    for layer in layers:
+        if layer.kind == "relu":
+            np.maximum(x, 0.0, out=x)  # x is a gemm output of this call
+        elif layer.kind == "dense":
+            gw, scale, floor, drop, limit = layer._bound_terms
+            ax = np.abs(x)
+            xmax = ax.max(axis=1)
+            if bound is not None:
+                xmax += bound.max(axis=1)
+                bound *= scale
+                ax += bound
+            x = x @ layer.weight.T
+            x += layer.bias
+            bound = ax @ gw.T
+            bound += floor
+            bound += xmax[:, None] * drop
+            if not bound.max(initial=0.0) < limit:
+                return None
+        # flatten leaves a row of the tail as it is
+    top2 = np.partition(x, -2, axis=1)
+    return np.argmax(x, axis=1), top2[:, -1] - top2[:, -2] > 2 * bound.max(axis=1)
+
+
 def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """mask[predicted label] per row: with a label_mask, 1 where the
-    prediction lies in omega, else 0."""
-    return mask[predict(model, batch)]
+    prediction lies in omega, else 0.  Equal to mask[predict(model, batch)],
+    with the dense tail's labels taken from plain gemms where their error
+    bound settles them (module docstring)."""
+    batch = _as_rows(model, batch)
+    start = model._tail_start
+    if start == len(model.layers):
+        return mask[predict(model, batch)]
+    x = forward(model, batch, stop=start) if start else batch
+    tail = model.layers[start:]
+    labels = np.empty(len(x), dtype=np.intp)
+    settled = np.empty(len(x), dtype=bool)
+    # row blocks as in the split product: a whole-batch gemm wakes every BLAS
+    # thread, which then competes with the conv tile pool
+    block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, len(x), block):
+            fast = _fast_tail(tail, np.ascontiguousarray(x[r0:r0 + block]))
+            if fast is None:  # forward raises, or its labels are the answer
+                return mask[predict(model, batch)]
+            labels[r0:r0 + block], settled[r0:r0 + block] = fast
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        labels[redo] = predict(model, batch[redo])
+    return mask[labels]
 
 
 # --- JSON model format ------------------------------------------------------

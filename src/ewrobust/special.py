@@ -54,7 +54,8 @@ def inv_norm_cdf(q: float) -> float:
     """z with Phi(z) = q, |Phi(z) - q| well below 1e-9.
 
     Acklam's approximation followed by one Halley step against an
-    erfc-based Phi.
+    erfc-based Phi.  Below q of about 1e-310 the step's exp(z*z/2) would
+    overflow, and the tail rational alone is returned.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q!r}")
@@ -65,7 +66,10 @@ def inv_norm_cdf(q: float) -> float:
     else:
         z = _acklam_central(q - 0.5)
     e = norm_cdf(z) - q
-    u = e * _SQRT_2PI * math.exp(0.5 * z * z)
+    try:
+        u = e * _SQRT_2PI * math.exp(0.5 * z * z)
+    except OverflowError:
+        return z
     return z - u / (1.0 + 0.5 * z * u)
 
 

@@ -82,7 +82,7 @@ def values(f):
         "--clamp": ("-1,1", "0,1", "1,0", "nan,1", "-inf,inf", "1", "x"),
         "--eps": ("0.2", "0.4", "0", "1", "-0.5", "nan", "inf", "x"),
         "--eps-prime": ("0.1", "0.3", "0", "0.5", "nan", "x"),
-        "--alpha": ("0.05", "0.2", "0", "0.5", "nan", "x"),
+        "--alpha": ("0.05", "0.2", "0", "0.5", "nan", "x", "5e-324", "1e-320"),
         "--beta": ("0.05", "0.2", "0", "0.5", "-1", "nan", "x"),
         "--batch": ("7", "256", "0", "-3", "1.5", "x"),
         "--workers": ("1", "2", "0", "-1", "x"),
@@ -167,6 +167,16 @@ def test_fuzzed_argv_exits_0_2_or_3(files, data):
     rc, err = run(argv)
     assert rc in (0, 2, 3), (argv, rc, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# the normal quantile of a deep-subnormal alpha once overflowed math.exp
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-320"])
+@pytest.mark.parametrize("command", ["decide", "evaluate"])
+def test_deep_subnormal_alpha_exits_0_or_2(files, command, alpha):
+    argv = to_argv(command, {**base(files, command), "--eps": "0.5", "--alpha": alpha})
+    rc, err = run(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
 
 
 # one case per defect measured before the argument boundary existed

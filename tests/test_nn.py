@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dense_model, toy_conv_model
 from ewrobust import nn
-from ewrobust.gadgets import CnfFormula, build_gadget
+from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, ModelFormatError,
                          NetworkModel, Normalize, NumericOverflowError, Relu,
                          ShapeMismatchError, dump_model, forward, indicative,
@@ -309,6 +309,17 @@ class TestDenseSplitProduct:
             assert np.array_equal(wt, fresh.transpose(0, 2, 1)) and wt.flags.c_contiguous
             assert np.array_equal(e, fresh_e)
             assert layer._weight_split is vars(layer)["_weight_split"]
+        # the fast tail's |W| terms: none at load or from forward, then one
+        # per dense layer, made on the first indicative call and kept
+        assert all("_bound_terms" not in vars(layer) for layer in dense)
+        mask = label_mask(model, {0})
+        indicative(model, rng.normal(size=(4, 6)), mask)
+        terms = [vars(layer)["_bound_terms"] for layer in dense]
+        for layer, kept in zip(dense, terms):
+            gw = kept[0]
+            assert gw.shape == layer.weight.shape and (gw >= np.abs(layer.weight) * 2.0 ** -52).all()
+        indicative(model, rng.normal(size=(5, 6)), mask)
+        assert all(vars(layer)["_bound_terms"] is kept for layer, kept in zip(dense, terms))
 
 
 class TestConvAndPoolSemantics:
@@ -532,6 +543,11 @@ class TestConvAndPoolSemantics:
         assert np.array_equal(out[0, 1], np.full((2, 2), -0.25))
 
 
+def first_label_indicator(model, batch):
+    """indicative with omega = {0}: runs the fast dense tail."""
+    return indicative(model, batch, label_mask(model, {0}))
+
+
 def _first_layer_model(first: str) -> NetworkModel:
     """A model whose first layer is of the given kind, then a dense to 2 labels."""
     w = np.array([[1.0, -2.0, 0.5, 0.25], [-1.0, 0.5, 2.0, -0.75]])
@@ -579,8 +595,11 @@ class TestForwardFiniteness:
         with pytest.raises(NumericOverflowError, match=r"after layer 0 \(maxpool2d\)"):
             forward(model, x)
 
-    @pytest.mark.parametrize("kind", ["dense", "conv2d", "normalize"])
-    def test_overflow_inside_a_layer(self, kind):
+    @pytest.mark.parametrize("kind,run", [
+        *(pytest.param(kind, forward, id=kind) for kind in ("dense", "conv2d", "normalize")),
+        *(pytest.param(kind, first_label_indicator, id=f"{kind}-indicative")
+          for kind in ("dense", "conv2d", "normalize"))])
+    def test_overflow_inside_a_layer(self, kind, run):
         # finite input, relu first; the layer after it overflows
         if kind == "dense":
             layers = (Relu(), Dense(np.full((3, 4), 1e300), np.zeros(3)), Relu(),
@@ -600,15 +619,19 @@ class TestForwardFiniteness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError, match=rf"after layer 1 \({kind}\)"):
-                forward(model, x)
+                run(model, x)
 
-    def test_overflow_in_a_later_dense(self):
+    @pytest.mark.parametrize("run", [forward, first_label_indicator],
+                             ids=["forward", "indicative"])
+    def test_overflow_in_a_later_dense(self, run):
         # the first dense stays finite (1e160); the second overflows
         layers = (Dense(np.full((3, 4), 1e150), np.zeros(3)), Relu(), Flatten(),
                   Dense(np.full((2, 3), 1e200), np.zeros(2)))
         model = NetworkModel((4,), 2, layers)
-        with pytest.raises(NumericOverflowError, match=r"after layer 3 \(dense\)"):
-            forward(model, np.full((2, 4), 1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=r"after layer 3 \(dense\)"):
+                run(model, np.full((2, 4), 1e10))
 
     @pytest.mark.parametrize("rows_innermost", [False, True])
     def test_maxpool_is_the_max_over_window_offsets(self, rng, rows_innermost):
@@ -663,6 +686,184 @@ class TestIndicative:
             label_mask(self.model, {4})
         with pytest.raises(ValueError, match="outside"):
             label_mask(self.model, {-1})
+
+
+def _spy_fallbacks(monkeypatch) -> list:
+    """Batches that go through the whole of forward from now on: indicative's
+    fall-backs, not the layers before its dense tail (forward with stop)."""
+    batches = []
+    whole = nn.forward
+
+    def spy(model, batch, stop=None):
+        if stop is None:
+            batches.append(np.array(batch))
+        return whole(model, batch, stop)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    return batches
+
+
+def _near_tie_model(rng, n=8) -> NetworkModel:
+    """One dense over n integer inputs and one more input z: label 1 is label 0
+    plus z, label 2 is label 0 minus 2**52.  With inputs and weights below
+    2**24, every partial sum is an integer below 2**53, so the logits are
+    exact in any summation order."""
+    weight = np.zeros((3, n + 1))
+    weight[:, :n] = rng.integers(-2 ** 24, 2 ** 24, size=n)
+    weight[1, n] = 1.0
+    return NetworkModel((n + 1,), 3, (Dense(weight, np.array([0.0, 0.0, -2.0 ** 52])),))
+
+
+def _twice_the_bound(model, x) -> Fraction:
+    """2 max_j d_j for a row x through a model of one dense layer, in exact
+    rationals, by the nn module docstring:
+    d_j = g_{n+121} (|x| |w_j| + |b_j|) + 32 n 2**(-3 bits) max|x| max|w_j|
+          + (n + 8)(1 + max|w_j|) 2**-1022, with g_k taken as k 2**-52."""
+    (layer,) = model.layers
+    n = layer.weight.shape[1]
+    xs = [abs(Fraction(v)) for v in x]
+    bounds = []
+    for w, b in zip(layer.weight, layer.bias):
+        ws = [abs(Fraction(v)) for v in w]
+        bounds.append(Fraction(n + 121, 2 ** 52) * (sum(a * c for a, c in zip(xs, ws))
+                                                     + abs(Fraction(b)))
+                      + Fraction(32 * n, 2 ** (3 * nn._slice_bits(n))) * max(xs) * max(ws)
+                      + (n + 8) * (1 + max(ws)) / Fraction(2 ** 1022))
+    return 2 * max(bounds)
+
+
+class TestFastIndicative:
+    """indicative takes the dense tail's labels from plain gemms and sends the
+    rows its error bound cannot settle back through forward."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.98, 1.02, 1.5])
+    def test_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, ratio):
+        # gap between labels 1 and 0 = |z| = ratio * 2 max d, about 300 here
+        model = _near_tie_model(rng)
+        rows = []
+        for sign in (1, -1):
+            for _ in range(6):
+                x = np.append(rng.integers(-2 ** 24, 2 ** 24, size=8).astype(float), 0.0)
+                limit = _twice_the_bound(model, x)
+                x[-1] = sign * (math.floor(ratio * limit) if ratio < 1 else math.ceil(ratio * limit))
+                limit = _twice_the_bound(model, x)
+                assert abs(Fraction(abs(x[-1])) / limit - Fraction(ratio)) < Fraction(1, 100)
+                rows.append(x)
+        batch = np.array(rows)
+        mask = label_mask(model, {1})
+        fell_back = _spy_fallbacks(monkeypatch)
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[np.argmax(forward(model, batch), axis=1)])
+        assert np.array_equal(got, [1] * 6 + [0] * 6)
+        if ratio < 1:  # inside the bound: every row re-runs through forward
+            assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch)
+        else:
+            assert fell_back == []
+
+    def test_exact_ties_fall_back_to_the_first_label(self, rng, monkeypatch):
+        model = _near_tie_model(rng)
+        batch = np.column_stack([rng.integers(-2 ** 24, 2 ** 24, size=(5, 8)), np.zeros(5)])
+        batch[1] = 0.0  # every logit but label 2's is 0
+        fell_back = _spy_fallbacks(monkeypatch)
+        got = indicative(model, batch, label_mask(model, {1}))
+        assert np.array_equal(got, np.zeros(5)) and len(fell_back) == 1
+        assert np.array_equal(fell_back[0], batch)
+
+    def test_threshold_classifier_at_its_threshold(self, rng, monkeypatch):
+        # 0 or a few ulps from the threshold: the logits tie or nearly tie
+        model = threshold_classifier(6, 2, 0.3)
+        batch = rng.normal(size=(9, 6))
+        batch[:, 2] = 0.3 + np.arange(-4, 5) * 2.0 ** -54  # the ulp of 0.3
+        mask = label_mask(model, {0})
+        fell_back = _spy_fallbacks(monkeypatch)
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[predict(model, batch)])
+        assert np.array_equal(got, batch[:, 2] <= 0.3)
+        # gaps of 2 k ulps, far inside the bound: every row re-runs
+        assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), vars_=st.integers(1, 5),
+           clauses=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_gadget_at_its_threshold(self, seed, vars_, clauses):
+        # inputs on a grid of quarters put the clause sum on m - 1/2, the
+        # label boundary, for some rows
+        rng = np.random.default_rng(seed)
+        cnf = CnfFormula(vars_, tuple(
+            tuple(int(v) * int(rng.choice([-1, 1]))
+                  for v in rng.choice(np.arange(1, vars_ + 1), size=rng.integers(1, vars_ + 1),
+                                      replace=False))
+            for _ in range(clauses)))
+        model = build_gadget(cnf)
+        batch = rng.integers(0, 5, size=(64, vars_)) / 4.0
+        mask = label_mask(model, {0})
+        assert np.array_equal(indicative(model, batch, mask), mask[predict(model, batch)])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.sampled_from(["", "conv", "normalize"]),
+           rows=st.integers(0, 40), tie=st.booleans(), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_mask_of_predict(self, seed, prefix, rows, tie, scale):
+        rng = np.random.default_rng(seed)
+        if prefix == "conv":
+            model = toy_conv_model(rng, num_labels=4)
+        elif prefix == "normalize":
+            layers = (Normalize(rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)),
+                      Dense(rng.normal(size=(7, 5)), rng.normal(size=7)), Relu(), Flatten(),
+                      Dense(rng.normal(size=(4, 7)), rng.normal(size=4)))
+            model = NetworkModel((5,), 4, layers)
+        else:
+            model = random_dense_model(rng, 5, 4)
+        if tie:  # labels 0 and 1 share their weights: forward ties them exactly
+            last = model.layers[-1]
+            weight, bias = last.weight.copy(), last.bias.copy()
+            weight[1], bias[1] = weight[0], bias[0]
+            model = NetworkModel(model.input_shape, 4, model.layers[:-1] + (Dense(weight, bias),))
+        batch = rng.normal(size=(rows,) + model.input_shape) * scale
+        mask = label_mask(model, set(rng.choice(4, size=rng.integers(1, 4), replace=False)))
+        got = indicative(model, batch, mask)
+        assert got.dtype == mask.dtype
+        assert np.array_equal(got, mask[predict(model, batch)])
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_any_partition_gives_the_same_indicators(self, rng, conv):
+        model = toy_conv_model(rng, 4) if conv else random_dense_model(rng, 6, 4)
+        batch = rng.normal(size=(60,) + model.input_shape)
+        mask = label_mask(model, {1, 3})
+        whole = indicative(model, batch, mask)
+        for _ in range(5):
+            cuts = np.sort(rng.choice(np.arange(1, 60), size=rng.integers(1, 8), replace=False))
+            parts = [indicative(model, part, mask) for part in np.split(batch, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_empty_batch(self, rng, conv):
+        model = toy_conv_model(rng, 4) if conv else random_dense_model(rng, 6, 4)
+        mask = label_mask(model, {2})
+        got = indicative(model, np.empty((0,) + model.input_shape), mask)
+        assert got.shape == (0,) and got.dtype == mask.dtype
+
+    @pytest.mark.parametrize("first", ["relu", "maxpool2d", "flatten", "dense"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_names_the_same_layer(self, first, value):
+        model = _first_layer_model(first)
+        x = np.linspace(-1.0, 1.0, 3 * math.prod(model.input_shape))
+        x[1] = value
+        x = x.reshape((3,) + model.input_shape)
+
+        def outcome(run):
+            try:
+                return run(model, x), None
+            except NumericOverflowError as exc:
+                return None, str(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast, exact = outcome(first_label_indicator), outcome(forward)
+        assert fast[1] == exact[1]
+        if exact[1] is None:
+            assert np.array_equal(fast[0], np.argmax(exact[0], axis=1) == 0)
 
 
 class TestModelFormat:

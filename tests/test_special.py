@@ -28,6 +28,20 @@ class TestInvNormCdf:
         for q in (0.001, 0.05, 0.3):
             assert inv_norm_cdf(q) == pytest.approx(-inv_norm_cdf(1.0 - q), abs=1e-12)
 
+    @pytest.mark.parametrize("q", [5e-324, 1e-320, 1e-311])
+    def test_deep_subnormal_tail_is_the_unrefined_rational(self, q):
+        # the Halley step's exp(z*z/2) would overflow; the rational is kept
+        z = inv_norm_cdf(q)
+        assert z == special._acklam_tail(math.sqrt(-2.0 * math.log(q)))
+        assert -39.0 < z < -37.0
+
+    def test_refinement_kept_down_to_1e_310(self):
+        # the smallest quantile of these whose Halley step still runs
+        z = special._acklam_tail(math.sqrt(-2.0 * math.log(1e-310)))
+        e = norm_cdf(z) - 1e-310
+        u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+        assert inv_norm_cdf(1e-310) == z - u / (1.0 + 0.5 * z * u)
+
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
     def test_domain(self, q):
         with pytest.raises(ValueError):

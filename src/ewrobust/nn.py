@@ -1,7 +1,8 @@
 """Minimal deterministic feed-forward inference.
 
 Six layer kinds (dense, relu, conv2d, maxpool2d, flatten, normalize) over
-float64 numpy arrays, plus a JSON model format.  Every output row is a
+float64 numpy arrays (conv2d, relu, maxpool2d and flatten also run in
+float32 for `indicative`), plus a JSON model format.  Every output row is a
 function of its input row alone, so a batch of k rows is bitwise identical to
 k single-row passes regardless of how callers batch their inputs.
 
@@ -21,9 +22,10 @@ order: bias, then each input channel and kernel offset in turn.
 `indicative` needs only each row's argmax, and takes it from plain float64
 gemms on the dense tail: the longest run of dense, relu and flatten layers
 that ends the model, from its first dense.  The layers before the tail run
-through `forward`.  If a tail dense of input width n gets a fast input x^
-with |x^ - x| <= d elementwise, x being forward's input (d = 0 entering the
-tail), its fast logits y^ = x^ W' + b differ from forward's y by at most
+through `forward`, or in float32 (below).  If a tail dense of input width n
+gets a fast input x^ with |x^ - x| <= d elementwise, x being forward's input
+(d = 0 entering the tail after `forward`), its fast logits y^ = x^ W' + b
+differ from forward's y by at most
 
     |W| d + g_{n+1} (|x^| |W|' + |b|) + E(|x^| + d),
 
@@ -46,6 +48,32 @@ through `forward`.  So does the whole batch when a bound is not finite or so
 large that |y^| + 2 d + |b| might reach 2**1022 (|y^| is at most about
 d / g_{n+121} + |b|); below that, forward's own intermediates cannot
 overflow.
+
+When the layers before the tail hold a conv2d and only conv2d, relu, maxpool2d
+and flatten, they run in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'),
+gradual underflow) on the batch cast to float32, with one d for the whole
+batch.  The cast errs by at most u' |x^|, or 2**-150 below float32's normal
+range, so d = max(u' M, 2**-150), M = max|x^| over the batch.  Relu and
+maxpool are 1-Lipschitz elementwise and flatten is a reshape, so they keep d.
+A conv of k = ic kh kw terms casts W and b to float32, each off by at most
+u' |w| + 2**-150, and sums bias and products in float32 where forward sums
+them in float64, both in any order: g'_{k+1} and g_{k+1} of the sum of
+magnitudes.  With M = max|x^| of its input, |W|_1 the largest sum of |w| over
+an output channel and c_k = ((k + 2) u' + (k + 1) 2**-53) / (1 - (k + 1) u')
+>= u' + (1 + u') g'_{k+1} + g_{k+1}, each output is off by at most
+
+    |W|_1 d + c_k (max|b| + |W|_1 (M + d)) + (k + 1)(1 + M) 2**-148,
+
+the next d.  The last term covers the 2**-150 of the casts, which weights
+that are float32-subnormal or flush to 0 meet, and products that underflow
+(2**-150 each in float32, 2**-1075 in float64).  The terms pass through at
+most k + 9 float64 roundings, so d is multiplied by 1 + (k + 11) 2**-52.  A
+conv runs only if S = max|b| + |W|_1 (M + d) < 2**126 and k < 2**22 (so
+g'_{k+1} <= 1/3): every float32 value of the fast conv and every float64
+value of forward's is then below 2**127, whatever the order.  A weight that
+overflows float32, or k >= 2**22, makes |W|_1 infinite.  Otherwise, and for
+an input that is not finite in float32, the batch runs through `forward`,
+which raises as before.  The prefix's d is the tail's entering d.
 """
 
 from __future__ import annotations
@@ -269,35 +297,58 @@ class Conv2d:
             raise ShapeMismatchError(f"conv2d kernel does not fit input {in_shape}")
         return (self.weight.shape[0], oh, ow)
 
+    @functools.cached_property
+    def _float32_terms(self) -> tuple[np.ndarray, np.ndarray, float, float, float, float, float]:
+        """The weight as (ic, kh, kw, oc) and the bias in float32, then the
+        float32 prefix's bound terms (module docstring): |W|_1 (infinite if
+        a weight overflows float32 or k >= 2**22), max|b|, c_k,
+        (k + 1) 2**-148 and the factor for the bound's own roundings.  Made
+        on the first float32 call and kept on the layer."""
+        k = math.prod(self.weight.shape[1:])
+        with np.errstate(over="ignore"):
+            weight, bias = self.weight.astype(np.float32), self.bias.astype(np.float32)
+        if k >= 2 ** 22 or np.isinf(weight).any():  # the fast conv never runs
+            wsum = c = math.inf
+        else:
+            wsum = float(np.abs(self.weight).sum(axis=(1, 2, 3)).max(initial=0.0))
+            c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
+        return (weight.transpose(1, 2, 3, 0), bias, wsum,
+                float(np.abs(self.bias).max(initial=0.0)), c, (k + 1) * 2.0 ** -148,
+                1 + (k + 11) * 2.0 ** -52)
+
     def apply(self, x):
         # rows innermost: the input is laid out (C, H, W, n) and the output
         # (oc, oh, ow, n), returned as a batch-first transposed view.  Each
         # output element is bias, then + x*w for (c, i, j) in lexicographic
         # order, two roundings per step, as for any other batch size or tiling.
+        # A float32 input runs in float32 with the cast weight and bias.
         oc, ic, kh, kw = self.weight.shape
         ph, pw = self.padding
         sh, sw = self.stride
         _, oh, ow = self.out_shape(x.shape[1:])
         n, _, h, w = x.shape
+        if x.dtype == np.float32:
+            weight, bias = self._float32_terms[:2]
+        else:
+            weight, bias = self.weight.transpose(1, 2, 3, 0), self.bias  # (ic, kh, kw, oc)
         if ph or pw:
-            xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n))
+            xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n), weight.dtype)
             xt[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
         else:  # no copy when x is the view a conv or relu returned
             xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-        weight = self.weight.transpose(1, 2, 3, 0)  # (ic, kh, kw, oc)
         # tiles of output rows and channels whose accumulator fits the cache
         # budget: all rows of as many channels as fit, else as many rows of one
-        row_bytes = max(1, ow * n * 8)  # an empty batch takes one tile
+        row_bytes = max(1, ow * n * weight.itemsize)  # an empty batch takes one tile
         rows = min(oh, max(1, _CONV_TILE_BYTES // row_bytes))
         block = min(oc, max(1, _CONV_TILE_BYTES // (rows * row_bytes)))
-        out = np.empty((oc, oh, ow, n))
+        out = np.empty((oc, oh, ow, n), weight.dtype)
 
         def run(tiles):  # disjoint tiles of out, one temporary per share
-            tmp = np.empty((block, rows, ow, n))
+            tmp = np.empty((block, rows, ow, n), weight.dtype)
             for o, r in tiles:
                 acc = out[o:o + block, r:r + rows]
                 prod = tmp[:acc.shape[0], :acc.shape[1]]
-                acc[...] = self.bias[o:o + block, None, None, None]
+                acc[...] = bias[o:o + block, None, None, None]
                 top, bottom = r * sh, (r + acc.shape[1]) * sh
                 for c in range(ic):
                     for i in range(kh):
@@ -413,6 +464,13 @@ class NetworkModel:
                 start = idx
         return start
 
+    @functools.cached_property
+    def _float32_prefix(self) -> bool:
+        """Whether indicative runs the layers before the dense tail in float32:
+        they hold a conv2d and only conv2d, relu, maxpool2d and flatten."""
+        kinds = {layer.kind for layer in self.layers[:self._tail_start]}
+        return "conv2d" in kinds and kinds <= {"conv2d", "relu", "maxpool2d", "flatten"}
+
 
 # layers whose output is finite wherever their input is: max, relu and
 # reshape make no new values
@@ -471,10 +529,33 @@ def label_mask(model: NetworkModel, omega) -> np.ndarray:
     return mask
 
 
-def _fast_tail(layers, x: np.ndarray):
+def _fast_prefix(layers, batch: np.ndarray):
+    """(x^, d): the float32 output of the layers before the dense tail and its
+    bound, |x^ - x| <= d for forward's x (module docstring); None when the
+    input is not finite in float32 or a conv might overflow."""
+    x = batch.astype(np.float32)
+    m = float(np.abs(x).max(initial=0.0))  # max|x^| of the next conv's input
+    d = max(m * 2.0 ** -24, 2.0 ** -150)
+    for layer in layers:
+        if layer.kind == "conv2d":
+            if m is None:
+                m = float(np.abs(x).max(initial=0.0))
+            wsum, bmax, c, under, grow = layer._float32_terms[2:]
+            s = bmax + wsum * (m + d)
+            if not s < 2.0 ** 126:
+                return None
+            d = (wsum * d + c * s + under * (1 + m)) * grow
+        # relu and maxpool are 1-Lipschitz elementwise and keep d
+        x = layer.apply(x)
+        m = None
+    return x, d
+
+
+def _fast_tail(layers, x: np.ndarray, d: float = 0.0):
     """(labels, settled) of the rows x through the dense tail: the argmax of
     plain float64 logits, settled where the bound of the module docstring
-    proves it forward's; None when a bound is not finite or near overflow."""
+    proves it forward's, d being x's entering d; None when a bound is not
+    finite or near overflow."""
     bound = None
     for layer in layers:
         if layer.kind == "relu":
@@ -487,6 +568,9 @@ def _fast_tail(layers, x: np.ndarray):
                 xmax += bound.max(axis=1)
                 bound *= scale
                 ax += bound
+            elif d:
+                xmax += d
+                ax += d * scale
             x = x @ layer.weight.T
             x += layer.bias
             bound = ax @ gw.T
@@ -502,23 +586,29 @@ def _fast_tail(layers, x: np.ndarray):
 def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """mask[predicted label] per row: with a label_mask, 1 where the
     prediction lies in omega, else 0.  Equal to mask[predict(model, batch)],
-    with the dense tail's labels taken from plain gemms where their error
-    bound settles them (module docstring)."""
+    with the dense tail's labels taken from plain gemms, after a float32 conv
+    prefix, where their error bound settles them (module docstring)."""
     batch = _as_rows(model, batch)
     start = model._tail_start
     if start == len(model.layers):
         return mask[predict(model, batch)]
-    x = forward(model, batch, stop=start) if start else batch
     tail = model.layers[start:]
-    labels = np.empty(len(x), dtype=np.intp)
-    settled = np.empty(len(x), dtype=bool)
-    # row blocks as in the split product: a whole-batch gemm wakes every BLAS
-    # thread, which then competes with the conv tile pool
-    block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
+    labels = np.empty(len(batch), dtype=np.intp)
+    settled = np.empty(len(batch), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, len(x), block):
-            fast = _fast_tail(tail, np.ascontiguousarray(x[r0:r0 + block]))
+        if model._float32_prefix:
+            fast = _fast_prefix(model.layers[:start], batch)
             if fast is None:  # forward raises, or its labels are the answer
+                return mask[predict(model, batch)]
+            x, d = fast
+        else:
+            x, d = (forward(model, batch, stop=start) if start else batch), 0.0
+        # row blocks as in the split product: a whole-batch gemm wakes every
+        # BLAS thread, which then competes with the conv tile pool
+        block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
+        for r0 in range(0, len(x), block):
+            fast = _fast_tail(tail, np.ascontiguousarray(x[r0:r0 + block], np.float64), d)
+            if fast is None:
                 return mask[predict(model, batch)]
             labels[r0:r0 + block], settled[r0:r0 + block] = fast
     redo = np.flatnonzero(~settled)

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import toy_conv_model
 from ewrobust import cli, decision, nn
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
@@ -83,6 +84,29 @@ class TestDecide:
                    "--radius", "2.0", "--eps", "0.2", "--seed", "3"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("UNSAT ")
+
+    @pytest.mark.parametrize("radius", ["1e39", "2e-5"])
+    def test_conv_model_report_is_the_exact_paths(self, tmp_path, monkeypatch, radius):
+        # at 1e39 the samples are finite in float64 but not in float32, so the
+        # float32 conv prefix falls back; either way the report is that of
+        # mask[predict(...)]
+        rng = np.random.default_rng(3)
+        model = tmp_path / "model.json"
+        model.write_text(dump_model(toy_conv_model(rng, num_labels=4)))
+        center = tmp_path / "center.csv"
+        center.write_text(",".join(repr(float(v)) for v in rng.uniform(0, 1, 64)) + "\n")
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["decide", "--model", str(model), "--input", str(center),
+                         "--radius", radius, "--norm", "inf", "--eps", "0.01", "--seed", "3",
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        fast = run("fast.csv")
+        monkeypatch.setattr(decision, "indicative",
+                            lambda model, batch, mask: mask[predict(model, batch)])
+        assert fast == run("exact.csv")
 
     def test_zero_radius_point_check(self, threshold_model_file, center_file, capsys):
         rc = main(["decide", "--model", threshold_model_file, "--input", center_file,

@@ -232,7 +232,11 @@ class TestDenseSplitProduct:
         for i, s in enumerate(slices):
             unit = 2.0 ** (-(i + 1) * bits)
             assert np.array_equal(s / unit, np.round(s / unit))
-            assert (np.abs(s) <= 2.0 ** (-i * bits)).all()
+            # slices 1 and 2 are at most half a unit of the slice before: so
+            # the pairs (2,0), (1,1) and (0,2) are multiples of 2**-4bits
+            # at most 2**52 of them, any two add exactly, and the order of the
+            # first two adds in _dense_matmul cannot show in the bits
+            assert (np.abs(s) <= 2.0 ** (-i * bits) / (2 if i else 1)).all()
             # no slice is subnormal, so flush-to-zero in a BLAS cannot drop one
             assert (np.abs(s[s != 0]) >= 2.0 ** (-3 * bits)).all()
         rest = np.abs(scaled - slices[0] - slices[1] - slices[2])
@@ -350,17 +354,19 @@ class TestConvAndPoolSemantics:
     @staticmethod
     def _broadcast_conv(layer, x):
         # the batch-first kernel Conv2d.apply replaced: bias, then + x*w for
-        # (c, i, j) in lexicographic order, broadcast over rows and channels
+        # (c, i, j) in lexicographic order, broadcast over rows and channels,
+        # with the weight and bias cast to the dtype of x
         oc, ic, kh, kw = layer.weight.shape
         (ph, pw), (sh, sw) = layer.padding, layer.stride
         _, oh, ow = layer.out_shape(x.shape[1:])
+        weight, bias = layer.weight.astype(x.dtype), layer.bias.astype(x.dtype)
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        out = np.broadcast_to(layer.bias[None, :, None, None], (x.shape[0], oc, oh, ow)).copy()
+        out = np.broadcast_to(bias[None, :, None, None], (x.shape[0], oc, oh, ow)).copy()
         for c in range(ic):
             for i in range(kh):
                 for j in range(kw):
                     patch = x[:, c, i:i + oh * sh:sh, j:j + ow * sw:sw]
-                    out += patch[:, None, :, :] * layer.weight[None, :, c, i, j, None, None]
+                    out += patch[:, None, :, :] * weight[None, :, c, i, j, None, None]
         return out
 
     @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
@@ -428,6 +434,30 @@ class TestConvAndPoolSemantics:
         assert pool.submits == 1
         assert np.array_equal(pooled, inline)
         assert np.array_equal(pooled, self._broadcast_conv(layer, x))
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
+                                               (1, True), (2000, True)])
+    def test_float32_tiles_bitwise_equal_float32_broadcast_kernel(self, rng, monkeypatch,
+                                                                 stride, pad, budget, pooled):
+        # a float32 input runs the same tiles in float32, with the weight and
+        # bias cast once; budget None keeps the default, one tile here
+        if budget is not None:
+            monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(7, 2, 11, 9)).astype(np.float32)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        exact = layer.apply(x.astype(np.float64))
+        pool = self._eager_pool(monkeypatch) if pooled else None
+        try:
+            got = layer.apply(x)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert pool is None or pool.submits == 1
+        assert got.dtype == np.float32
+        assert np.array_equal(got, self._broadcast_conv(layer, x))
+        assert np.allclose(got, exact, rtol=0, atol=1e-4)
 
     def test_conv_tiles_shared_by_main_thread_and_pool(self, rng, monkeypatch):
         # a real pool of two workers, created on first use; which thread takes
@@ -558,6 +588,9 @@ def _first_layer_model(first: str) -> NetworkModel:
         return NetworkModel((1, 4, 4), 2, (MaxPool2d((2, 2), (2, 2)), Flatten(), head))
     if first == "flatten":
         return NetworkModel((1, 2, 2), 2, (Flatten(), head))
+    if first == "conv2d":
+        conv = Conv2d(np.full((1, 1, 1, 1), 1.5), np.array([0.25]), (1, 1), (0, 0))
+        return NetworkModel((1, 2, 2), 2, (conv, Flatten(), head))
     return NetworkModel((4,), 2, (Dense(np.eye(4), np.zeros(4)), head))
 
 
@@ -732,6 +765,60 @@ def _twice_the_bound(model, x) -> Fraction:
     return 2 * max(bounds)
 
 
+def _conv_near_tie_model(rng, convs, n=8) -> NetworkModel:
+    """A 1x1 conv from n integer inputs and one more input z to the channels
+    s = w . x and z, with convs=2 then an identity 1x1 conv, and a dense to
+    label 0 = 2**10 s and label 1 = 2**10 s + 2**20 z.  With |x|, |w| below
+    2**10 and z a multiple of 2**-8 below 2**7, every value is exact in the
+    float32 prefix, in the float64 tail and in forward, in any order."""
+    weight = np.zeros((2, n + 1, 1, 1))
+    weight[0, :n, 0, 0] = rng.integers(-2 ** 10, 2 ** 10, size=n)
+    weight[1, n, 0, 0] = 1.0
+    convs = [Conv2d(weight, np.zeros(2), (1, 1), (0, 0)),
+             Conv2d(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2), (1, 1), (0, 0))][:convs]
+    head = Dense(np.array([[2.0 ** 10, 0.0], [2.0 ** 10, 2.0 ** 20]]), np.zeros(2))
+    return NetworkModel((n + 1, 1, 1), 2, (*convs, Flatten(), head))
+
+
+def _conv_twice_the_bounds(model, batch) -> list[Fraction]:
+    """2 max_j d_j per row of a batch through _conv_near_tie_model, in exact
+    rationals, by the nn module docstring: d = max(u M, 2**-150) for the cast
+    input; per conv of k terms, M the batch's max|input| and |W|_1 its largest
+    channel sum of |w|,
+    d <- |W|_1 d + c_k (max|b| + |W|_1 (M + d)) + (k + 1)(1 + M) 2**-148,
+    c_k = ((k + 2) 2**-24 + (k + 1) 2**-53) / (1 - (k + 1) 2**-24); then the
+    dense's d_j = (1 + g_120) |w_j| d + g_{n+121} (|x| |w_j| + |b_j|)
+    + 32 n 2**(-3 bits) max(|x| + d) max|w_j| + (n + 8)(1 + max|w_j|) 2**-1022,
+    g_k taken as k 2**-52."""
+    *convs, _, head = model.layers
+    x = batch.reshape(len(batch), -1)  # every value here is exact
+    big = max(abs(Fraction(v)) for v in x.flat)
+    d = max(big / 2 ** 24, Fraction(1, 2 ** 150))
+    for conv in convs:
+        big = max(abs(Fraction(v)) for v in x.flat)
+        k = math.prod(conv.weight.shape[1:])
+        c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
+        wsum = max(sum(abs(Fraction(v)) for v in w.flat) for w in conv.weight)
+        bmax = max(abs(Fraction(v)) for v in conv.bias)
+        d = wsum * d + c * (bmax + wsum * (big + d)) + (k + 1) * (1 + big) / 2 ** 148
+        x = x @ conv.weight[:, :, 0, 0].T + conv.bias
+    n = head.weight.shape[1]
+    drop = Fraction(32 * n, 2 ** (3 * nn._slice_bits(n)))
+    bounds = []
+    for row in x:
+        xs = [abs(Fraction(v)) for v in row]
+        row_bounds = []
+        for w, b in zip(head.weight, head.bias):
+            ws = [abs(Fraction(v)) for v in w]
+            row_bounds.append(Fraction(2 ** 52 + 120, 2 ** 52) * sum(ws) * d
+                              + Fraction(n + 121, 2 ** 52) * (sum(a * c for a, c in zip(xs, ws))
+                                                             + abs(Fraction(b)))
+                              + drop * (max(xs) + d) * max(ws)
+                              + (n + 8) * (1 + max(ws)) / Fraction(2 ** 1022))
+        bounds.append(2 * max(row_bounds))
+    return bounds
+
+
 class TestFastIndicative:
     """indicative takes the dense tail's labels from plain gemms and sends the
     rows its error bound cannot settle back through forward."""
@@ -760,6 +847,86 @@ class TestFastIndicative:
             assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch)
         else:
             assert fell_back == []
+
+    @pytest.mark.parametrize("convs", [1, 2])
+    def test_conv_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, convs):
+        # one batch, one bound: the gap between labels 1 and 0 is 2**20 |z|,
+        # z = ratio * 2 max d / 2**20 (about 6 here), rounded away from 1
+        model = _conv_near_tie_model(rng, convs)
+        ratios = np.tile([0.5, 0.98, 1.02, 1.5], 6)
+        signs = np.repeat([1, -1], 12)
+        batch = np.zeros((24, 9, 1, 1))
+        batch[:, :8, 0, 0] = rng.integers(-2 ** 10, 2 ** 10, size=(24, 8))
+        for r, limit in enumerate(_conv_twice_the_bounds(model, batch)):
+            z = ratios[r] * float(limit) / 2 ** 20 * 2 ** 8
+            batch[r, 8] = signs[r] * (math.floor(z) if ratios[r] < 1 else math.ceil(z)) / 2 ** 8
+        for r, limit in enumerate(_conv_twice_the_bounds(model, batch)):
+            ratio = Fraction(abs(batch[r, 8, 0, 0])) * 2 ** 20 / limit
+            assert abs(ratio - Fraction(ratios[r])) < Fraction(1, 100)
+            assert (ratio < 1) == (ratios[r] < 1)
+        mask = label_mask(model, {1})
+        fell_back = _spy_fallbacks(monkeypatch)
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[np.argmax(forward(model, batch), axis=1)])
+        assert np.array_equal(got, signs > 0)
+        # inside the bound (ratio < 1): exactly those rows re-run through forward
+        assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch[ratios < 1])
+
+    @pytest.mark.parametrize("w_scale,x_scale,whole", [
+        (1.0, 1e39, True),  # finite, but beyond float32's range
+        (1e30, 1.0, False),
+        (1e30, 1e8, True),  # the conv's magnitude bound reaches 2**126
+        (1.0, 1e-40, False),  # float32-subnormal inputs
+        (1.0, 1e-46, False),  # inputs that flush to 0 in float32
+        (1e-40, 1e30, False),  # weights float32-subnormal
+        (1e-46, 1e30, False)])  # weights that flush to 0 in float32
+    def test_conv_prefix_at_extreme_scales(self, rng, monkeypatch, w_scale, x_scale, whole):
+        model = toy_conv_model(rng, num_labels=4)
+        conv = model.layers[0]
+        model = NetworkModel(model.input_shape, 4,
+                             (Conv2d(conv.weight * w_scale, conv.bias, conv.stride, conv.padding),
+                              *model.layers[1:]))
+        batch = rng.normal(size=(40,) + model.input_shape) * x_scale
+        mask = label_mask(model, {0, 2})
+        fell_back = _spy_fallbacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[predict(model, batch)])
+        # the whole batch re-runs through forward, or no row does
+        assert len(fell_back) == whole and all(np.array_equal(f, batch) for f in fell_back)
+
+    def test_conv_prefix_runs_in_float32(self, rng, monkeypatch):
+        # every array of the prefix stays float32; the cast weights are made
+        # on the first fast call, not at load or by forward, and kept
+        layers = (Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
+                  Relu(), Conv2d(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), (1, 1), (0, 0)),
+                  Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
+                  Dense(rng.normal(size=(5, 18)), rng.normal(size=5)), Relu(),
+                  Dense(rng.normal(size=(4, 5)), rng.normal(size=4)))
+        model = load_model(dump_model(NetworkModel((1, 8, 8), 4, layers)))
+        batch = rng.normal(size=(30, 1, 8, 8))
+        mask = label_mask(model, {1, 2})
+        forward(model, batch)
+        convs = [model.layers[0], model.layers[2]]
+        assert not any("_float32_terms" in vars(conv) for conv in convs)
+        seen = []
+        for cls in (Conv2d, Relu, MaxPool2d, Flatten):
+            def spy(layer, x, apply=cls.apply):
+                out = apply(layer, x)
+                seen.append((layer.kind, x.dtype, out.dtype))
+                return out
+            monkeypatch.setattr(cls, "apply", spy)
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[predict(model, batch)])
+        assert [kind for kind, _, _ in seen[:6]] == [layer.kind for layer in layers[:6]]
+        assert all(dt == np.float32 for _, x_dt, out_dt in seen[:6] for dt in (x_dt, out_dt))
+        kept = [vars(conv)["_float32_terms"] for conv in convs]
+        indicative(model, batch, mask)
+        assert all(vars(conv)["_float32_terms"] is terms for conv, terms in zip(convs, kept))
 
     def test_exact_ties_fall_back_to_the_first_label(self, rng, monkeypatch):
         model = _near_tie_model(rng)
@@ -844,7 +1011,7 @@ class TestFastIndicative:
         got = indicative(model, np.empty((0,) + model.input_shape), mask)
         assert got.shape == (0,) and got.dtype == mask.dtype
 
-    @pytest.mark.parametrize("first", ["relu", "maxpool2d", "flatten", "dense"])
+    @pytest.mark.parametrize("first", ["relu", "maxpool2d", "flatten", "dense", "conv2d"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_names_the_same_layer(self, first, value):
         model = _first_layer_model(first)

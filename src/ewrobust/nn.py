@@ -19,61 +19,55 @@ g_6 (20 sum|x w| + |b|), since a row's slices sum in magnitude to at most
 8 n 2**(-3 bits) 2**(e_x + e_w).  Conv keeps an explicit fixed accumulation
 order: bias, then each input channel and kernel offset in turn.
 
-`indicative` needs only each row's argmax, and takes it from plain float64
-gemms on the dense tail: the longest run of dense, relu and flatten layers
-that ends the model, from its first dense.  The layers before the tail run
-through `forward`, or in float32 (below).  If a tail dense of input width n
-gets a fast input x^ with |x^ - x| <= d elementwise, x being forward's input
-(d = 0 entering the tail after `forward`), its fast logits y^ = x^ W' + b
-differ from forward's y by at most
+`indicative` needs only each row's argmax, and takes it from fast logits
+with one bound d, |x^ - x| <= d elementwise between a fast value x^ and
+forward's x.  The dense tail, the longest run of dense, relu and flatten
+layers that ends the model from its first dense, runs as plain float64
+gemms in row blocks.  The layers before it run through `forward` (d = 0),
+or in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'), gradual underflow)
+when they hold a conv2d and only conv2d, relu, maxpool2d and flatten.  That
+prefix runs on the whole batch cast to float32, which errs by at most
+u' |x^|, or 2**-150 below float32's normal range: d = max(u' M, 2**-150),
+M = max|x^| over the batch.  Relu and maxpool are 1-Lipschitz elementwise
+and flatten is a reshape, so they keep d.
 
-    |W| d + g_{n+1} (|x^| |W|' + |b|) + E(|x^| + d),
+A dense or conv layer of k terms per output (k = n, the dense's input
+width, or ic kh kw) computes W x + b.  Let M = max|x^| of its input over
+the batch (a row block in the tail), |W|_1 the largest sum of |w| over an
+output, and S = max|b| + |W|_1 (M + d), which bounds sum|x w| + |b| for x^
+and x alike.  Its fast output is then off from forward's by at most
 
-the g term in any summation order, with or without FMA (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., sections 3.1-3.5), and E(|x|)
-the split product's error above.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52
-and 2**(e_x + e_w) <= 4 max|x| max|w|, that is at most
+    |W|_1 d + c S + under (1 + M),
 
-    (1 + g_120) |W| d + g_{n+121} (|x^| |W|' + |b|)
-        + 32 n 2**(-3 bits) max(|x^| + d) max|w|,
+the next d: |W|_1 d from the input's error, c S from the roundings of both
+sums in any order, with or without FMA (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sections 3.1-3.5), and the last term from
+underflow.  The terms pass through at most k + 9 float64 roundings, so d is
+multiplied by 1 + (k + 11) 2**-52.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52:
 
-the next layer's d.  Relu and flatten leave d as it is.  An underflow loses
-at most 2**-1075, which (n + 8)(1 + max|w|) 2**-1022 covers.  The bound is a
-float sum of non-negative terms, each of which passes through at most n + 8
-roundings, so each carries a factor 1 + (n + 10) 2**-52 >= (1 - u)**-(n + 8)
-to stay an upper bound.  A row keeps the fast argmax t only when
-y^_t - max_{j != t} y^_j > 2 max d: then y_t > y_j for every j != t, and
-forward's argmax is t.  Every other row, an exact tie among them, re-runs
-through `forward`.  So does the whole batch when a bound is not finite or so
-large that |y^| + 2 d + |b| might reach 2**1022 (|y^| is at most about
-d / g_{n+121} + |b|); below that, forward's own intermediates cannot
-overflow.
+- A dense's float64 sum errs by at most g_{n+1} S and forward's split
+  product by at most 20 g_6 S + 8 n 2**(-3 bits) 2**(e_x + e_w) (above),
+  where 2**(e_x + e_w) <= 4 max|x| max|w| <= 4 S: c = (n + 121) 2**-52
+  + 32 n 2**(-3 bits).  The n products of the fast sum, forward's scaling
+  back and the bound's own products each lose at most 2**-1075 to
+  underflow, which under = (n + 8) 2**-1022 covers.  A dense runs only if
+  S < 2**1020 / (1 + c): its fast and forward's values are within c S of a
+  value at most S, so they, the next d and a top-two gap stay below 2**1022.
+- A conv casts W and b to float32, each off by at most u' |w| + 2**-150, and
+  sums in float32 where forward sums in float64: c = ((k + 2) u'
+  + (k + 1) 2**-53) / (1 - (k + 1) u') >= u' + (1 + u') g'_{k+1} + g_{k+1}.
+  under = (k + 1) 2**-148 covers the 2**-150 of the casts, which weights
+  that are float32-subnormal or flush to 0 meet, and products that
+  underflow (2**-150 each in float32, 2**-1075 in float64).  A conv runs
+  only if S < 2**126, k < 2**22 (so g'_{k+1} <= 1/3) and its weight is
+  finite in float32: every float32 value of the fast conv and every float64
+  value of forward's is then below 2**127, whatever the order.
 
-When the layers before the tail hold a conv2d and only conv2d, relu, maxpool2d
-and flatten, they run in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'),
-gradual underflow) on the batch cast to float32, with one d for the whole
-batch.  The cast errs by at most u' |x^|, or 2**-150 below float32's normal
-range, so d = max(u' M, 2**-150), M = max|x^| over the batch.  Relu and
-maxpool are 1-Lipschitz elementwise and flatten is a reshape, so they keep d.
-A conv of k = ic kh kw terms casts W and b to float32, each off by at most
-u' |w| + 2**-150, and sums bias and products in float32 where forward sums
-them in float64, both in any order: g'_{k+1} and g_{k+1} of the sum of
-magnitudes.  With M = max|x^| of its input, |W|_1 the largest sum of |w| over
-an output channel and c_k = ((k + 2) u' + (k + 1) 2**-53) / (1 - (k + 1) u')
->= u' + (1 + u') g'_{k+1} + g_{k+1}, each output is off by at most
-
-    |W|_1 d + c_k (max|b| + |W|_1 (M + d)) + (k + 1)(1 + M) 2**-148,
-
-the next d.  The last term covers the 2**-150 of the casts, which weights
-that are float32-subnormal or flush to 0 meet, and products that underflow
-(2**-150 each in float32, 2**-1075 in float64).  The terms pass through at
-most k + 9 float64 roundings, so d is multiplied by 1 + (k + 11) 2**-52.  A
-conv runs only if S = max|b| + |W|_1 (M + d) < 2**126 and k < 2**22 (so
-g'_{k+1} <= 1/3): every float32 value of the fast conv and every float64
-value of forward's is then below 2**127, whatever the order.  A weight that
-overflows float32, or k >= 2**22, makes |W|_1 infinite.  Otherwise, and for
-an input that is not finite in float32, the batch runs through `forward`,
-which raises as before.  The prefix's d is the tail's entering d.
+A layer that may not run, or an input that is not finite in float32, sends
+the batch through `forward`, which raises as before.  A row keeps the fast
+argmax t only when y^_t - max_{j != t} y^_j > 2 d: then y_t > y_j for every
+j != t, and forward's argmax is t.  Every other row, an exact tie among
+them, re-runs through `forward`.
 """
 
 from __future__ import annotations
@@ -162,6 +156,18 @@ def _dense_matmul(x: np.ndarray, wt: np.ndarray, ew: np.ndarray, bits: int,
     return out
 
 
+def _bound_scalars(weight: np.ndarray, bias: np.ndarray, c: float, under: float,
+                   limit: float) -> tuple[float, ...]:
+    """A dense or conv layer's terms of the fast path's bound (module
+    docstring): |W|_1, max|b|, its kind's c and underflow term, the limit on
+    S below which it may run, and the factor for the bound's own roundings.
+    Made on the layer's first fast call and kept on it."""
+    k = math.prod(weight.shape[1:])
+    wsum = np.abs(weight).sum(axis=tuple(range(1, weight.ndim))).max(initial=0.0)
+    return (float(wsum), float(np.abs(bias).max(initial=0.0)), c, under, limit,
+            1 + (k + 11) * 2.0 ** -52)
+
+
 @dataclass(frozen=True)
 class Dense:
     weight: np.ndarray  # (out, in)
@@ -183,27 +189,11 @@ class Dense:
         return np.ascontiguousarray(slices.transpose(0, 2, 1)), e, bits
 
     @functools.cached_property
-    def _bound_terms(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
-        """The fast tail's bound terms (module docstring), made on the first
-        fast call and kept on the layer: g |W|; the factor of d that makes
-        (1 + 20 g_6) |W| d of the same gemm; the bias and underflow term and
-        the factor of max(|x^| + d) that bounds the dropped slices, both per
-        output; and the limit on the bound below which nothing can overflow.
-        Every term carries 1 + (n + 10) 2**-52 for the bound's own roundings."""
+    def _bound_terms(self) -> tuple[float, ...]:
         n = self.weight.shape[1]
-        gw = np.abs(self.weight)
-        wmax = np.maximum.reduce(gw, axis=1, initial=0.0)
-        g = (n + 121) * 2.0 ** -52  # >= g_{n+1} + 20 g_6
-        grow = 1 + (n + 10) * 2.0 ** -52  # >= (1 - u)**-(n + 8)
-        # 2**-1074 keeps a product that underflows an upper bound
-        gw *= g * grow
-        gw += 2.0 ** -1074
-        floor = (g * np.abs(self.bias) + (1.0 + wmax) * 2.0 ** -1022 * (n + 8)) * grow
-        # 2**(e_x + e_w) <= 4 max|x| max|w|
-        drop = (wmax * (32 * n * 2.0 ** (-3 * _slice_bits(n))) + 2.0 ** -1074) * grow
-        # |y^| <= bound / g + |b| up to roundings, so |y^| + 2 d + |b| < 2**1022
-        limit = (2.0 ** 1021 - 3 * np.abs(self.bias).max(initial=0.0)) / (1 / g + 3)
-        return gw, (1 + 120 * 2.0 ** -52) / g, floor, drop, limit
+        c = (n + 121) * 2.0 ** -52 + 32 * n * 2.0 ** (-3 * _slice_bits(n))
+        return _bound_scalars(self.weight, self.bias, c, (n + 8) * 2.0 ** -1022,
+                              2.0 ** 1020 / (1 + c))
 
     def apply(self, x):
         wt, ew, bits = self._weight_split
@@ -298,23 +288,20 @@ class Conv2d:
         return (self.weight.shape[0], oh, ow)
 
     @functools.cached_property
-    def _float32_terms(self) -> tuple[np.ndarray, np.ndarray, float, float, float, float, float]:
-        """The weight as (ic, kh, kw, oc) and the bias in float32, then the
-        float32 prefix's bound terms (module docstring): |W|_1 (infinite if
-        a weight overflows float32 or k >= 2**22), max|b|, c_k,
-        (k + 1) 2**-148 and the factor for the bound's own roundings.  Made
-        on the first float32 call and kept on the layer."""
-        k = math.prod(self.weight.shape[1:])
+    def _float32_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weight as (ic, kh, kw, oc) and the bias in float32, made on the
+        first float32 call and kept on the layer."""
         with np.errstate(over="ignore"):
             weight, bias = self.weight.astype(np.float32), self.bias.astype(np.float32)
-        if k >= 2 ** 22 or np.isinf(weight).any():  # the fast conv never runs
-            wsum = c = math.inf
-        else:
-            wsum = float(np.abs(self.weight).sum(axis=(1, 2, 3)).max(initial=0.0))
-            c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
-        return (weight.transpose(1, 2, 3, 0), bias, wsum,
-                float(np.abs(self.bias).max(initial=0.0)), c, (k + 1) * 2.0 ** -148,
-                1 + (k + 11) * 2.0 ** -52)
+        return weight.transpose(1, 2, 3, 0), bias
+
+    @functools.cached_property
+    def _bound_terms(self) -> tuple[float, ...]:
+        k = math.prod(self.weight.shape[1:])
+        if k >= 2 ** 22 or np.isinf(self._float32_terms[0]).any():  # never runs fast
+            return _bound_scalars(self.weight, self.bias, math.inf, math.inf, 0.0)
+        c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
+        return _bound_scalars(self.weight, self.bias, c, (k + 1) * 2.0 ** -148, 2.0 ** 126)
 
     def apply(self, x):
         # rows innermost: the input is laid out (C, H, W, n) and the output
@@ -328,7 +315,7 @@ class Conv2d:
         _, oh, ow = self.out_shape(x.shape[1:])
         n, _, h, w = x.shape
         if x.dtype == np.float32:
-            weight, bias = self._float32_terms[:2]
+            weight, bias = self._float32_terms
         else:
             weight, bias = self.weight.transpose(1, 2, 3, 0), self.bias  # (ic, kh, kw, oc)
         if ph or pw:
@@ -529,58 +516,23 @@ def label_mask(model: NetworkModel, omega) -> np.ndarray:
     return mask
 
 
-def _fast_prefix(layers, batch: np.ndarray):
-    """(x^, d): the float32 output of the layers before the dense tail and its
-    bound, |x^ - x| <= d for forward's x (module docstring); None when the
-    input is not finite in float32 or a conv might overflow."""
-    x = batch.astype(np.float32)
-    m = float(np.abs(x).max(initial=0.0))  # max|x^| of the next conv's input
-    d = max(m * 2.0 ** -24, 2.0 ** -150)
+def _fast(layers, x: np.ndarray, d: float):
+    """(x^, d) after the layers for fast input x^ with bound d, |x^ - x| <= d
+    for forward's x (module docstring); None when a layer may not run."""
     for layer in layers:
-        if layer.kind == "conv2d":
-            if m is None:
-                m = float(np.abs(x).max(initial=0.0))
-            wsum, bmax, c, under, grow = layer._float32_terms[2:]
+        if layer.kind in ("dense", "conv2d"):
+            wsum, bmax, c, under, limit, grow = layer._bound_terms
+            m = float(np.abs(x).max(initial=0.0))
             s = bmax + wsum * (m + d)
-            if not s < 2.0 ** 126:
+            if not s < limit:
                 return None
             d = (wsum * d + c * s + under * (1 + m)) * grow
-        # relu and maxpool are 1-Lipschitz elementwise and keep d
-        x = layer.apply(x)
-        m = None
-    return x, d
-
-
-def _fast_tail(layers, x: np.ndarray, d: float = 0.0):
-    """(labels, settled) of the rows x through the dense tail: the argmax of
-    plain float64 logits, settled where the bound of the module docstring
-    proves it forward's, d being x's entering d; None when a bound is not
-    finite or near overflow."""
-    bound = None
-    for layer in layers:
-        if layer.kind == "relu":
-            np.maximum(x, 0.0, out=x)  # x is a gemm output of this call
-        elif layer.kind == "dense":
-            gw, scale, floor, drop, limit = layer._bound_terms
-            ax = np.abs(x)
-            xmax = ax.max(axis=1)
-            if bound is not None:
-                xmax += bound.max(axis=1)
-                bound *= scale
-                ax += bound
-            elif d:
-                xmax += d
-                ax += d * scale
+        if layer.kind == "dense":
             x = x @ layer.weight.T
             x += layer.bias
-            bound = ax @ gw.T
-            bound += floor
-            bound += xmax[:, None] * drop
-            if not bound.max(initial=0.0) < limit:
-                return None
-        # flatten leaves a row of the tail as it is
-    top2 = np.partition(x, -2, axis=1)
-    return np.argmax(x, axis=1), top2[:, -1] - top2[:, -2] > 2 * bound.max(axis=1)
+        else:  # relu and maxpool keep d, flatten is a reshape
+            x = layer.apply(x)
+    return x, d
 
 
 def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -597,7 +549,9 @@ def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.n
     settled = np.empty(len(batch), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if model._float32_prefix:
-            fast = _fast_prefix(model.layers[:start], batch)
+            x = batch.astype(np.float32)
+            fast = _fast(model.layers[:start], x,
+                         max(float(np.abs(x).max(initial=0.0)) * 2.0 ** -24, 2.0 ** -150))
             if fast is None:  # forward raises, or its labels are the answer
                 return mask[predict(model, batch)]
             x, d = fast
@@ -607,10 +561,13 @@ def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.n
         # BLAS thread, which then competes with the conv tile pool
         block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
         for r0 in range(0, len(x), block):
-            fast = _fast_tail(tail, np.ascontiguousarray(x[r0:r0 + block], np.float64), d)
+            fast = _fast(tail, np.ascontiguousarray(x[r0:r0 + block], np.float64), d)
             if fast is None:
                 return mask[predict(model, batch)]
-            labels[r0:r0 + block], settled[r0:r0 + block] = fast
+            y, dy = fast
+            top2 = np.partition(y, -2, axis=1)
+            labels[r0:r0 + block] = np.argmax(y, axis=1)
+            settled[r0:r0 + block] = top2[:, -1] - top2[:, -2] > 2 * dy
     redo = np.flatnonzero(~settled)
     if redo.size:
         labels[redo] = predict(model, batch[redo])

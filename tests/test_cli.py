@@ -9,7 +9,7 @@ from ewrobust import cli, decision, nn
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
-from ewrobust.nn import dump_model, load_model, predict
+from ewrobust.nn import Dense, NetworkModel, Relu, dump_model, load_model, predict
 
 
 @pytest.fixture
@@ -86,13 +86,20 @@ class TestDecide:
         assert capsys.readouterr().out.startswith("UNSAT ")
 
     @pytest.mark.parametrize("radius", ["1e39", "2e-5"])
-    def test_conv_model_report_is_the_exact_paths(self, tmp_path, monkeypatch, radius):
+    @pytest.mark.parametrize("conv", [True, False], ids=["conv", "mlp"])
+    def test_conv_model_report_is_the_exact_paths(self, tmp_path, monkeypatch, conv, radius):
         # at 1e39 the samples are finite in float64 but not in float32, so the
-        # float32 conv prefix falls back; either way the report is that of
-        # mask[predict(...)]
+        # float32 conv prefix falls back; either way, and for an MLP with two
+        # hidden dense layers, the report is that of mask[predict(...)]
         rng = np.random.default_rng(3)
         model = tmp_path / "model.json"
-        model.write_text(dump_model(toy_conv_model(rng, num_labels=4)))
+        if conv:
+            model.write_text(dump_model(toy_conv_model(rng, num_labels=4)))
+        else:
+            model.write_text(dump_model(NetworkModel((64,), 4, (
+                Dense(rng.normal(size=(16, 64)), rng.normal(size=16)), Relu(),
+                Dense(rng.normal(size=(16, 16)), rng.normal(size=16)), Relu(),
+                Dense(rng.normal(size=(4, 16)), rng.normal(size=4))))))
         center = tmp_path / "center.csv"
         center.write_text(",".join(repr(float(v)) for v in rng.uniform(0, 1, 64)) + "\n")
 

@@ -313,15 +313,18 @@ class TestDenseSplitProduct:
             assert np.array_equal(wt, fresh.transpose(0, 2, 1)) and wt.flags.c_contiguous
             assert np.array_equal(e, fresh_e)
             assert layer._weight_split is vars(layer)["_weight_split"]
-        # the fast tail's |W| terms: none at load or from forward, then one
-        # per dense layer, made on the first indicative call and kept
+        # the fast path's bound terms: none at load or from forward, then a
+        # few floats per dense layer, made on the first indicative call and
+        # kept; indicative leaves no other attribute, so no array, on a layer
         assert all("_bound_terms" not in vars(layer) for layer in dense)
+        before = [set(vars(layer)) for layer in dense]
         mask = label_mask(model, {0})
         indicative(model, rng.normal(size=(4, 6)), mask)
         terms = [vars(layer)["_bound_terms"] for layer in dense]
-        for layer, kept in zip(dense, terms):
-            gw = kept[0]
-            assert gw.shape == layer.weight.shape and (gw >= np.abs(layer.weight) * 2.0 ** -52).all()
+        for layer, kept, keys in zip(dense, terms, before):
+            assert set(vars(layer)) - keys == {"_bound_terms"}
+            assert all(type(v) is float for v in kept)
+            assert kept[:2] == (np.abs(layer.weight).sum(axis=1).max(), np.abs(layer.bias).max())
         indicative(model, rng.normal(size=(5, 6)), mask)
         assert all(vars(layer)["_bound_terms"] is kept for layer, kept in zip(dense, terms))
 
@@ -736,33 +739,21 @@ def _spy_fallbacks(monkeypatch) -> list:
     return batches
 
 
-def _near_tie_model(rng, n=8) -> NetworkModel:
-    """One dense over n integer inputs and one more input z: label 1 is label 0
-    plus z, label 2 is label 0 minus 2**52.  With inputs and weights below
-    2**24, every partial sum is an integer below 2**53, so the logits are
-    exact in any summation order."""
+def _near_tie_model(rng, hidden=False, n=8) -> NetworkModel:
+    """A dense over n integer inputs and one more input z: label 1 is label 0
+    plus z, label 2 is label 0 minus 2**52.  With hidden, the dense makes
+    s = w . x, z and -z, and a relu and a second dense make the labels of
+    relu(s).  With inputs and weights below 2**24, every value is an integer
+    below 2**53, so the logits are exact in any summation order."""
     weight = np.zeros((3, n + 1))
     weight[:, :n] = rng.integers(-2 ** 24, 2 ** 24, size=n)
     weight[1, n] = 1.0
-    return NetworkModel((n + 1,), 3, (Dense(weight, np.array([0.0, 0.0, -2.0 ** 52])),))
-
-
-def _twice_the_bound(model, x) -> Fraction:
-    """2 max_j d_j for a row x through a model of one dense layer, in exact
-    rationals, by the nn module docstring:
-    d_j = g_{n+121} (|x| |w_j| + |b_j|) + 32 n 2**(-3 bits) max|x| max|w_j|
-          + (n + 8)(1 + max|w_j|) 2**-1022, with g_k taken as k 2**-52."""
-    (layer,) = model.layers
-    n = layer.weight.shape[1]
-    xs = [abs(Fraction(v)) for v in x]
-    bounds = []
-    for w, b in zip(layer.weight, layer.bias):
-        ws = [abs(Fraction(v)) for v in w]
-        bounds.append(Fraction(n + 121, 2 ** 52) * (sum(a * c for a, c in zip(xs, ws))
-                                                     + abs(Fraction(b)))
-                      + Fraction(32 * n, 2 ** (3 * nn._slice_bits(n))) * max(xs) * max(ws)
-                      + (n + 8) * (1 + max(ws)) / Fraction(2 ** 1022))
-    return 2 * max(bounds)
+    bias = np.array([0.0, 0.0, -2.0 ** 52])
+    if not hidden:
+        return NetworkModel((n + 1,), 3, (Dense(weight, bias),))
+    weight[1:, :n], weight[2, n] = 0.0, -1.0
+    head = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, -1.0], [1.0, 0.0, 0.0]])
+    return NetworkModel((n + 1,), 3, (Dense(weight, np.zeros(3)), Relu(), Dense(head, bias)))
 
 
 def _conv_near_tie_model(rng, convs, n=8) -> NetworkModel:
@@ -780,43 +771,43 @@ def _conv_near_tie_model(rng, convs, n=8) -> NetworkModel:
     return NetworkModel((n + 1, 1, 1), 2, (*convs, Flatten(), head))
 
 
-def _conv_twice_the_bounds(model, batch) -> list[Fraction]:
-    """2 max_j d_j per row of a batch through _conv_near_tie_model, in exact
-    rationals, by the nn module docstring: d = max(u M, 2**-150) for the cast
-    input; per conv of k terms, M the batch's max|input| and |W|_1 its largest
-    channel sum of |w|,
-    d <- |W|_1 d + c_k (max|b| + |W|_1 (M + d)) + (k + 1)(1 + M) 2**-148,
-    c_k = ((k + 2) 2**-24 + (k + 1) 2**-53) / (1 - (k + 1) 2**-24); then the
-    dense's d_j = (1 + g_120) |w_j| d + g_{n+121} (|x| |w_j| + |b_j|)
-    + 32 n 2**(-3 bits) max(|x| + d) max|w_j| + (n + 8)(1 + max|w_j|) 2**-1022,
-    g_k taken as k 2**-52."""
-    *convs, _, head = model.layers
-    x = batch.reshape(len(batch), -1)  # every value here is exact
-    big = max(abs(Fraction(v)) for v in x.flat)
-    d = max(big / 2 ** 24, Fraction(1, 2 ** 150))
-    for conv in convs:
-        big = max(abs(Fraction(v)) for v in x.flat)
-        k = math.prod(conv.weight.shape[1:])
-        c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
-        wsum = max(sum(abs(Fraction(v)) for v in w.flat) for w in conv.weight)
-        bmax = max(abs(Fraction(v)) for v in conv.bias)
-        d = wsum * d + c * (bmax + wsum * (big + d)) + (k + 1) * (1 + big) / 2 ** 148
-        x = x @ conv.weight[:, :, 0, 0].T + conv.bias
-    n = head.weight.shape[1]
-    drop = Fraction(32 * n, 2 ** (3 * nn._slice_bits(n)))
-    bounds = []
-    for row in x:
-        xs = [abs(Fraction(v)) for v in row]
-        row_bounds = []
-        for w, b in zip(head.weight, head.bias):
-            ws = [abs(Fraction(v)) for v in w]
-            row_bounds.append(Fraction(2 ** 52 + 120, 2 ** 52) * sum(ws) * d
-                              + Fraction(n + 121, 2 ** 52) * (sum(a * c for a, c in zip(xs, ws))
-                                                             + abs(Fraction(b)))
-                              + drop * (max(xs) + d) * max(ws)
-                              + (n + 8) * (1 + max(ws)) / Fraction(2 ** 1022))
-        bounds.append(2 * max(row_bounds))
-    return bounds
+def _twice_the_bound(model, batch) -> Fraction:
+    """2 d for a batch through a near-tie model, in exact rationals, by the nn
+    module docstring.  d = max(u' M, 2**-150) for the input cast to float32
+    when the model has a conv, else 0; then per dense or 1x1 conv of k terms
+    per output, M the batch's max|input|, |W|_1 its largest sum of |w| over an
+    output and S = max|b| + |W|_1 (M + d),
+
+        d <- |W|_1 d + c S + under (1 + M),
+
+    with c = (k + 121) 2**-52 + 32 k 2**(-3 bits) and under = (k + 8) 2**-1022
+    for a dense, c = ((k + 2) 2**-24 + (k + 1) 2**-53) / (1 - (k + 1) 2**-24)
+    and under = (k + 1) 2**-148 for a conv.  Every value of these models is
+    exact, so the fast values are forward's."""
+    x = [[Fraction(v) for v in row.flat] for row in batch]
+    big = max(abs(v) for row in x for v in row)
+    float32 = any(layer.kind == "conv2d" for layer in model.layers)
+    d = max(big / 2 ** 24, Fraction(1, 2 ** 150)) if float32 else Fraction(0)
+    for layer in model.layers:
+        if layer.kind == "relu":
+            x = [[max(v, 0) for v in row] for row in x]
+        if layer.kind not in ("dense", "conv2d"):
+            continue
+        weight = [[Fraction(v) for v in w.flat] for w in layer.weight]
+        bias = [Fraction(v) for v in layer.bias]
+        k = len(weight[0])
+        if layer.kind == "dense":
+            c = Fraction(k + 121, 2 ** 52) + Fraction(32 * k, 2 ** (3 * nn._slice_bits(k)))
+            under = Fraction(k + 8, 2 ** 1022)
+        else:
+            c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
+            under = Fraction(k + 1, 2 ** 148)
+        big = max(abs(v) for row in x for v in row)
+        wsum = max(sum(abs(v) for v in w) for w in weight)
+        s = max(abs(b) for b in bias) + wsum * (big + d)
+        d = wsum * d + c * s + under * (1 + big)
+        x = [[sum(a * v for a, v in zip(row, w)) + b for w, b in zip(weight, bias)] for row in x]
+    return 2 * d
 
 
 class TestFastIndicative:
@@ -824,19 +815,18 @@ class TestFastIndicative:
     rows its error bound cannot settle back through forward."""
 
     @pytest.mark.parametrize("ratio", [0.5, 0.98, 1.02, 1.5])
-    def test_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, ratio):
-        # gap between labels 1 and 0 = |z| = ratio * 2 max d, about 300 here
-        model = _near_tie_model(rng)
-        rows = []
-        for sign in (1, -1):
-            for _ in range(6):
-                x = np.append(rng.integers(-2 ** 24, 2 ** 24, size=8).astype(float), 0.0)
-                limit = _twice_the_bound(model, x)
-                x[-1] = sign * (math.floor(ratio * limit) if ratio < 1 else math.ceil(ratio * limit))
-                limit = _twice_the_bound(model, x)
-                assert abs(Fraction(abs(x[-1])) / limit - Fraction(ratio)) < Fraction(1, 100)
-                rows.append(x)
-        batch = np.array(rows)
+    @pytest.mark.parametrize("hidden", [False, True], ids=["dense", "dense-relu-dense"])
+    def test_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, hidden, ratio):
+        # one batch, one d: the gap between labels 1 and 0 is |z| = ratio * 2 d,
+        # a few hundred here
+        model = _near_tie_model(rng, hidden)
+        batch = np.zeros((12, 9))
+        batch[:, :8] = rng.integers(-2 ** 24, 2 ** 24, size=(12, 8))
+        z = ratio * _twice_the_bound(model, batch)
+        batch[:, 8] = np.repeat([1, -1], 6) * (math.floor(z) if ratio < 1 else math.ceil(z))
+        got_ratio = Fraction(batch[0, 8]) / _twice_the_bound(model, batch)
+        assert abs(got_ratio - Fraction(ratio)) < Fraction(1, 100)
+        assert (got_ratio < 1) == (ratio < 1)
         mask = label_mask(model, {1})
         fell_back = _spy_fallbacks(monkeypatch)
         got = indicative(model, batch, mask)
@@ -850,20 +840,22 @@ class TestFastIndicative:
 
     @pytest.mark.parametrize("convs", [1, 2])
     def test_conv_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, convs):
-        # one batch, one bound: the gap between labels 1 and 0 is 2**20 |z|,
-        # z = ratio * 2 max d / 2**20 (about 6 here), rounded away from 1
+        # one batch, one d: the gap between labels 1 and 0 is 2**20 |z|,
+        # z = ratio * 2 d / 2**20 (a few units here), rounded away from 1
         model = _conv_near_tie_model(rng, convs)
         ratios = np.tile([0.5, 0.98, 1.02, 1.5], 6)
         signs = np.repeat([1, -1], 12)
         batch = np.zeros((24, 9, 1, 1))
         batch[:, :8, 0, 0] = rng.integers(-2 ** 10, 2 ** 10, size=(24, 8))
-        for r, limit in enumerate(_conv_twice_the_bounds(model, batch)):
-            z = ratios[r] * float(limit) / 2 ** 20 * 2 ** 8
-            batch[r, 8] = signs[r] * (math.floor(z) if ratios[r] < 1 else math.ceil(z)) / 2 ** 8
-        for r, limit in enumerate(_conv_twice_the_bounds(model, batch)):
-            ratio = Fraction(abs(batch[r, 8, 0, 0])) * 2 ** 20 / limit
-            assert abs(ratio - Fraction(ratios[r])) < Fraction(1, 100)
-            assert (ratio < 1) == (ratios[r] < 1)
+        limit = _twice_the_bound(model, batch)
+        for r, ratio in enumerate(ratios):
+            z = ratio * float(limit) / 2 ** 20 * 2 ** 8
+            batch[r, 8] = signs[r] * (math.floor(z) if ratio < 1 else math.ceil(z)) / 2 ** 8
+        limit = _twice_the_bound(model, batch)
+        for r, ratio in enumerate(ratios):
+            got_ratio = Fraction(abs(batch[r, 8, 0, 0])) * 2 ** 20 / limit
+            assert abs(got_ratio - Fraction(ratio)) < Fraction(1, 100)
+            assert (got_ratio < 1) == (ratio < 1)
         mask = label_mask(model, {1})
         fell_back = _spy_fallbacks(monkeypatch)
         got = indicative(model, batch, mask)

@@ -104,6 +104,8 @@ def _parse_grid(args) -> list[float]:
             raise UsageError(f"--radius-grid needs finite lo:hi:step with step > 0, "
                              f"got {args.radius_grid!r}")
         count = math.floor(span + 1e-9) + 1
+        if count < 1:
+            raise UsageError(f"--radius-grid {args.radius_grid!r} has hi below lo")
         if count > MAX_GRID_RADII:
             raise UsageError(f"--radius-grid {args.radius_grid!r} has {count} radii, "
                              f"more than {MAX_GRID_RADII}")

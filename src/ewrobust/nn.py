@@ -19,23 +19,24 @@ g_6 (20 sum|x w| + |b|), since a row's slices sum in magnitude to at most
 8 n 2**(-3 bits) 2**(e_x + e_w).  Conv keeps an explicit fixed accumulation
 order: bias, then each input channel and kernel offset in turn.
 
-`indicative` needs only each row's argmax, and takes it from fast logits
-with one bound d, |x^ - x| <= d elementwise between a fast value x^ and
-forward's x.  The dense tail, the longest run of dense, relu and flatten
-layers that ends the model from its first dense, runs as plain float64
-gemms in row blocks.  The layers before it run through `forward` (d = 0),
-or in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'), gradual underflow)
-when they hold a conv2d and only conv2d, relu, maxpool2d and flatten.  That
-prefix runs on the whole batch cast to float32, which errs by at most
-u' |x^|, or 2**-150 below float32's normal range: d = max(u' M, 2**-150),
-M = max|x^| over the batch.  Relu and maxpool are 1-Lipschitz elementwise
-and flatten is a reshape, so they keep d.
+`indicative` needs only each row's argmax, and takes it from one fast pass
+over every layer with one bound d, |x^ - x| <= d elementwise between a fast
+value x^ and forward's x, from d = 0.  While d = 0 the pass holds forward's
+own values, so relu, maxpool2d, flatten and normalize run forward's ops, and
+the output of the first layer and of each normalize must be finite, as
+forward checks (a later relu or maxpool may drop a -inf there).  Normalize
+has no bound for d > 0.  Relu and maxpool are 1-Lipschitz elementwise and
+flatten is a reshape, so they keep d.  A dense runs as a plain float64 gemm,
+a conv in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'), gradual
+underflow).  A float64 input that meets a conv is cast to float32, which
+errs by at most u' |x^|, or 2**-150 below float32's normal range: d grows
+by max(u' M, 2**-150), M = max|x^| over the batch.
 
 A dense or conv layer of k terms per output (k = n, the dense's input
 width, or ic kh kw) computes W x + b.  Let M = max|x^| of its input over
-the batch (a row block in the tail), |W|_1 the largest sum of |w| over an
-output, and S = max|b| + |W|_1 (M + d), which bounds sum|x w| + |b| for x^
-and x alike.  Its fast output is then off from forward's by at most
+the batch, |W|_1 the largest sum of |w| over an output, and
+S = max|b| + |W|_1 (M + d), which bounds sum|x w| + |b| for x^ and x alike.
+Its fast output is then off from forward's by at most
 
     |W|_1 d + c S + under (1 + M),
 
@@ -63,11 +64,13 @@ multiplied by 1 + (k + 11) 2**-52.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52:
   finite in float32: every float32 value of the fast conv and every float64
   value of forward's is then below 2**127, whatever the order.
 
-A layer that may not run, or an input that is not finite in float32, sends
-the batch through `forward`, which raises as before.  A row keeps the fast
-argmax t only when y^_t - max_{j != t} y^_j > 2 d: then y_t > y_j for every
-j != t, and forward's argmax is t.  Every other row, an exact tie among
-them, re-runs through `forward`.
+A layer that may not run, such as one whose M is infinite or NaN, sends the
+batch through `forward`, which raises as before.  A row keeps the fast
+argmax t only when y^_t - max_{j != t} y^_j > 2 d in float64: then
+y_t > y_j for every j != t, and forward's argmax is t.  Rounding is monotone
+and 2 d is a float64 number, so a rounded gap above 2 d is an exact one; a
+float32 gap could round up past a 2 d that float32 cannot hold.  Every
+other row, an exact tie among them, re-runs through `forward`.
 """
 
 from __future__ import annotations
@@ -439,25 +442,6 @@ class NetworkModel:
             raise ShapeMismatchError(
                 f"network output shape {shape} does not match num_labels={self.num_labels}")
 
-    @functools.cached_property
-    def _tail_start(self) -> int:
-        """Index of the dense tail's first layer, len(layers) if it has none."""
-        start = len(self.layers)
-        for idx in reversed(range(len(self.layers))):
-            kind = self.layers[idx].kind
-            if kind not in ("dense", "relu", "flatten"):
-                break
-            if kind == "dense":
-                start = idx
-        return start
-
-    @functools.cached_property
-    def _float32_prefix(self) -> bool:
-        """Whether indicative runs the layers before the dense tail in float32:
-        they hold a conv2d and only conv2d, relu, maxpool2d and flatten."""
-        kinds = {layer.kind for layer in self.layers[:self._tail_start]}
-        return "conv2d" in kinds and kinds <= {"conv2d", "relu", "maxpool2d", "flatten"}
-
 
 # layers whose output is finite wherever their input is: max, relu and
 # reshape make no new values
@@ -475,18 +459,17 @@ def _as_rows(model: NetworkModel, batch) -> np.ndarray:
     return batch
 
 
-def forward(model: NetworkModel, batch: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """Logits of shape (batch, num_labels), or with stop the output of the
-    layers before index stop; raises on shape mismatch or non-finite
-    intermediates, naming the first layer with a non-finite output.  Once a
-    layer's output is checked finite, relu, maxpool2d and flatten are not
-    checked until the next dense, conv2d or normalize: the first non-finite
-    output can only come from one of those."""
+def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
+    """Logits of shape (batch, num_labels); raises on shape mismatch or
+    non-finite intermediates, naming the first layer with a non-finite
+    output.  Once a layer's output is checked finite, relu, maxpool2d and
+    flatten are not checked until the next dense, conv2d or normalize: the
+    first non-finite output can only come from one of those."""
     x = _as_rows(model, batch)
     finite = False  # x is known to be finite
     # overflow surfaces as the NumericOverflowError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, layer in enumerate(model.layers[:stop]):
+        for idx, layer in enumerate(model.layers):
             x = layer.apply(x)
             if finite and layer.kind in _KEEPS_FINITE:
                 continue
@@ -516,59 +499,57 @@ def label_mask(model: NetworkModel, omega) -> np.ndarray:
     return mask
 
 
-def _fast(layers, x: np.ndarray, d: float):
-    """(x^, d) after the layers for fast input x^ with bound d, |x^ - x| <= d
-    for forward's x (module docstring); None when a layer may not run."""
-    for layer in layers:
-        if layer.kind in ("dense", "conv2d"):
-            wsum, bmax, c, under, limit, grow = layer._bound_terms
-            m = float(np.abs(x).max(initial=0.0))
-            s = bmax + wsum * (m + d)
-            if not s < limit:
+def _fast(model: NetworkModel, batch: np.ndarray):
+    """(y^, d): fast logits of the batch and their bound, |y^ - y| <= d for
+    forward's y (module docstring); None when a layer may not run."""
+    x, d = batch, 0.0
+    for idx, layer in enumerate(model.layers):
+        if layer.kind not in ("dense", "conv2d"):
+            if layer.kind == "normalize" and d:
                 return None
-            d = (wsum * d + c * s + under * (1 + m)) * grow
-        if layer.kind == "dense":
-            x = x @ layer.weight.T
-            x += layer.bias
-        else:  # relu and maxpool keep d, flatten is a reshape
             x = layer.apply(x)
+            # outputs that forward checks, which at d = 0 are its own values
+            if (idx == 0 or layer.kind == "normalize") and not np.isfinite(x).all():
+                return None
+            continue
+        cast = layer.kind == "conv2d" and x.dtype == np.float64
+        x = x.astype(np.float32) if cast else x
+        m = float(np.abs(x).max(initial=0.0))
+        d += max(m * 2.0 ** -24, 2.0 ** -150) if cast else 0.0
+        wsum, bmax, c, under, limit, grow = layer._bound_terms
+        s = bmax + wsum * (m + d)
+        if not s < limit:
+            return None
+        d = (wsum * d + c * s + under * (1 + m)) * grow
+        if layer.kind == "conv2d":
+            x = layer.apply(x)
+            continue
+        # row blocks as in the split product: a whole-batch gemm wakes every
+        # BLAS thread, which then competes with the conv tile pool
+        y = np.empty((len(x), layer.bias.size))
+        block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
+        for r0 in range(0, len(x), block):
+            np.matmul(np.ascontiguousarray(x[r0:r0 + block], np.float64), layer.weight.T,
+                      out=y[r0:r0 + block])
+        y += layer.bias
+        x = y
     return x, d
 
 
 def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """mask[predicted label] per row: with a label_mask, 1 where the
     prediction lies in omega, else 0.  Equal to mask[predict(model, batch)],
-    with the dense tail's labels taken from plain gemms, after a float32 conv
-    prefix, where their error bound settles them (module docstring)."""
+    by one fast pass and its error bound (module docstring)."""
     batch = _as_rows(model, batch)
-    start = model._tail_start
-    if start == len(model.layers):
-        return mask[predict(model, batch)]
-    tail = model.layers[start:]
-    labels = np.empty(len(batch), dtype=np.intp)
-    settled = np.empty(len(batch), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        if model._float32_prefix:
-            x = batch.astype(np.float32)
-            fast = _fast(model.layers[:start], x,
-                         max(float(np.abs(x).max(initial=0.0)) * 2.0 ** -24, 2.0 ** -150))
-            if fast is None:  # forward raises, or its labels are the answer
-                return mask[predict(model, batch)]
-            x, d = fast
-        else:
-            x, d = (forward(model, batch, stop=start) if start else batch), 0.0
-        # row blocks as in the split product: a whole-batch gemm wakes every
-        # BLAS thread, which then competes with the conv tile pool
-        block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
-        for r0 in range(0, len(x), block):
-            fast = _fast(tail, np.ascontiguousarray(x[r0:r0 + block], np.float64), d)
-            if fast is None:
-                return mask[predict(model, batch)]
-            y, dy = fast
-            top2 = np.partition(y, -2, axis=1)
-            labels[r0:r0 + block] = np.argmax(y, axis=1)
-            settled[r0:r0 + block] = top2[:, -1] - top2[:, -2] > 2 * dy
-    redo = np.flatnonzero(~settled)
+        fast = _fast(model, batch)
+        if fast is None:  # forward raises, or its labels are the answer
+            return mask[predict(model, batch)]
+        y, d = fast
+        y = y.astype(np.float64, copy=False)  # the gap is taken in float64
+        top2 = np.partition(y, -2, axis=1)
+        labels = np.argmax(y, axis=1)
+        redo = np.flatnonzero(~(top2[:, -1] - top2[:, -2] > 2 * d))
     if redo.size:
         labels[redo] = predict(model, batch[redo])
     return mask[labels]

@@ -291,6 +291,12 @@ def test_huge_grid_names_its_length(files):
     assert rc == 2 and "has 1000000000000000001 radii" in err, err
 
 
+def test_descending_grid_says_hi_is_below_lo(files):
+    # not "no radii given", which names flags the call did pass
+    rc, err = run(to_argv("curve", base(files, "curve")) + ["--radius-grid", "1:0:0.1"])
+    assert (rc, err) == (2, "usage error: --radius-grid '1:0:0.1' has hi below lo\n"), err
+
+
 def test_memory_error_without_message_says_out_of_memory(files, monkeypatch):
     # a failed Python allocation raises MemoryError() with an empty message
     def exhausted(path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -577,7 +578,7 @@ class TestConvAndPoolSemantics:
 
 
 def first_label_indicator(model, batch):
-    """indicative with omega = {0}: runs the fast dense tail."""
+    """indicative with omega = {0}: runs the fast pass."""
     return indicative(model, batch, label_mask(model, {0}))
 
 
@@ -632,12 +633,16 @@ class TestForwardFiniteness:
             forward(model, x)
 
     @pytest.mark.parametrize("kind,run", [
-        *(pytest.param(kind, forward, id=kind) for kind in ("dense", "conv2d", "normalize")),
+        *(pytest.param(kind, forward, id=kind)
+          for kind in ("dense", "conv2d", "normalize", "normalize-last")),
         *(pytest.param(kind, first_label_indicator, id=f"{kind}-indicative")
-          for kind in ("dense", "conv2d", "normalize"))])
+          for kind in ("dense", "conv2d", "normalize", "normalize-last"))])
     def test_overflow_inside_a_layer(self, kind, run):
         # finite input, relu first; the layer after it overflows
-        if kind == "dense":
+        if kind == "normalize-last":  # its output is the logits
+            kind, shape = "normalize", (2,)
+            layers = (Relu(), Normalize(np.zeros(2), np.array([1e-300, 1.0])))
+        elif kind == "dense":
             layers = (Relu(), Dense(np.full((3, 4), 1e300), np.zeros(3)), Relu(),
                       Dense(np.ones((2, 3)), np.zeros(2)))
             shape = (4,)
@@ -725,15 +730,13 @@ class TestIndicative:
 
 
 def _spy_fallbacks(monkeypatch) -> list:
-    """Batches that go through the whole of forward from now on: indicative's
-    fall-backs, not the layers before its dense tail (forward with stop)."""
+    """Batches that go through forward from now on: indicative's fall-backs."""
     batches = []
     whole = nn.forward
 
-    def spy(model, batch, stop=None):
-        if stop is None:
-            batches.append(np.array(batch))
-        return whole(model, batch, stop)
+    def spy(model, batch):
+        batches.append(np.array(batch))
+        return whole(model, batch)
 
     monkeypatch.setattr(nn, "forward", spy)
     return batches
@@ -756,27 +759,32 @@ def _near_tie_model(rng, hidden=False, n=8) -> NetworkModel:
     return NetworkModel((n + 1,), 3, (Dense(weight, np.zeros(3)), Relu(), Dense(head, bias)))
 
 
-def _conv_near_tie_model(rng, convs, n=8) -> NetworkModel:
+def _conv_near_tie_model(rng, convs, dense=True, n=8) -> NetworkModel:
     """A 1x1 conv from n integer inputs and one more input z to the channels
-    s = w . x and z, with convs=2 then an identity 1x1 conv, and a dense to
-    label 0 = 2**10 s and label 1 = 2**10 s + 2**20 z.  With |x|, |w| below
-    2**10 and z a multiple of 2**-8 below 2**7, every value is exact in the
-    float32 prefix, in the float64 tail and in forward, in any order."""
+    s = w . x and z, with convs=2 then an identity 1x1 conv, and a head to
+    label 0 = 2**10 s and label 1 = 2**10 s + 2**20 z: a dense after a
+    flatten, or without dense a 1x1 conv before it.  With |x|, |w| below
+    2**10 and z a multiple of 2**-8 below 2**7, every value is below 2**34
+    and a multiple of 2**-8 or of 2**10 beyond 2**16, so it is exact in
+    float32, in float64 and in forward, in any order."""
     weight = np.zeros((2, n + 1, 1, 1))
     weight[0, :n, 0, 0] = rng.integers(-2 ** 10, 2 ** 10, size=n)
     weight[1, n, 0, 0] = 1.0
     convs = [Conv2d(weight, np.zeros(2), (1, 1), (0, 0)),
              Conv2d(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2), (1, 1), (0, 0))][:convs]
-    head = Dense(np.array([[2.0 ** 10, 0.0], [2.0 ** 10, 2.0 ** 20]]), np.zeros(2))
-    return NetworkModel((n + 1, 1, 1), 2, (*convs, Flatten(), head))
+    head = np.array([[2.0 ** 10, 0.0], [2.0 ** 10, 2.0 ** 20]])
+    if dense:
+        return NetworkModel((n + 1, 1, 1), 2, (*convs, Flatten(), Dense(head, np.zeros(2))))
+    head = Conv2d(head.reshape(2, 2, 1, 1), np.zeros(2), (1, 1), (0, 0))
+    return NetworkModel((n + 1, 1, 1), 2, (*convs, head, Flatten()))
 
 
 def _twice_the_bound(model, batch) -> Fraction:
     """2 d for a batch through a near-tie model, in exact rationals, by the nn
-    module docstring.  d = max(u' M, 2**-150) for the input cast to float32
-    when the model has a conv, else 0; then per dense or 1x1 conv of k terms
-    per output, M the batch's max|input|, |W|_1 its largest sum of |w| over an
-    output and S = max|b| + |W|_1 (M + d),
+    module docstring.  From d = 0, per dense or 1x1 conv of k terms per
+    output, M the batch's max|input|, |W|_1 its largest sum of |w| over an
+    output and S = max|b| + |W|_1 (M + d), after d += max(u' M, 2**-150) for
+    the cast to float32 at the first conv,
 
         d <- |W|_1 d + c S + under (1 + M),
 
@@ -785,9 +793,7 @@ def _twice_the_bound(model, batch) -> Fraction:
     and under = (k + 1) 2**-148 for a conv.  Every value of these models is
     exact, so the fast values are forward's."""
     x = [[Fraction(v) for v in row.flat] for row in batch]
-    big = max(abs(v) for row in x for v in row)
-    float32 = any(layer.kind == "conv2d" for layer in model.layers)
-    d = max(big / 2 ** 24, Fraction(1, 2 ** 150)) if float32 else Fraction(0)
+    d, float32 = Fraction(0), False
     for layer in model.layers:
         if layer.kind == "relu":
             x = [[max(v, 0) for v in row] for row in x]
@@ -803,6 +809,8 @@ def _twice_the_bound(model, batch) -> Fraction:
             c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
             under = Fraction(k + 1, 2 ** 148)
         big = max(abs(v) for row in x for v in row)
+        if layer.kind == "conv2d" and not float32:
+            d, float32 = d + max(big / 2 ** 24, Fraction(1, 2 ** 150)), True
         wsum = max(sum(abs(v) for v in w) for w in weight)
         s = max(abs(b) for b in bias) + wsum * (big + d)
         d = wsum * d + c * s + under * (1 + big)
@@ -811,8 +819,8 @@ def _twice_the_bound(model, batch) -> Fraction:
 
 
 class TestFastIndicative:
-    """indicative takes the dense tail's labels from plain gemms and sends the
-    rows its error bound cannot settle back through forward."""
+    """indicative takes labels from one fast pass and sends the rows its error
+    bound cannot settle back through forward."""
 
     @pytest.mark.parametrize("ratio", [0.5, 0.98, 1.02, 1.5])
     @pytest.mark.parametrize("hidden", [False, True], ids=["dense", "dense-relu-dense"])
@@ -838,11 +846,12 @@ class TestFastIndicative:
         else:
             assert fell_back == []
 
-    @pytest.mark.parametrize("convs", [1, 2])
-    def test_conv_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, convs):
+    @pytest.mark.parametrize("convs,dense", [(1, True), (2, True), (1, False)],
+                             ids=["1", "2", "headless"])
+    def test_conv_near_ties_fall_back_as_the_bound_says(self, rng, monkeypatch, convs, dense):
         # one batch, one d: the gap between labels 1 and 0 is 2**20 |z|,
         # z = ratio * 2 d / 2**20 (a few units here), rounded away from 1
-        model = _conv_near_tie_model(rng, convs)
+        model = _conv_near_tie_model(rng, convs, dense)
         ratios = np.tile([0.5, 0.98, 1.02, 1.5], 6)
         signs = np.repeat([1, -1], 12)
         batch = np.zeros((24, 9, 1, 1))
@@ -891,34 +900,59 @@ class TestFastIndicative:
         assert len(fell_back) == whole and all(np.array_equal(f, batch) for f in fell_back)
 
     def test_conv_prefix_runs_in_float32(self, rng, monkeypatch):
-        # every array of the prefix stays float32; the cast weights are made
-        # on the first fast call, not at load or by forward, and kept
-        layers = (Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
-                  Relu(), Conv2d(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), (1, 1), (0, 0)),
-                  Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
-                  Dense(rng.normal(size=(5, 18)), rng.normal(size=5)), Relu(),
-                  Dense(rng.normal(size=(4, 5)), rng.normal(size=4)))
-        model = load_model(dump_model(NetworkModel((1, 8, 8), 4, layers)))
-        batch = rng.normal(size=(30, 1, 8, 8))
-        mask = label_mask(model, {1, 2})
-        forward(model, batch)
-        convs = [model.layers[0], model.layers[2]]
-        assert not any("_float32_terms" in vars(conv) for conv in convs)
-        seen = []
-        for cls in (Conv2d, Relu, MaxPool2d, Flatten):
-            def spy(layer, x, apply=cls.apply):
-                out = apply(layer, x)
-                seen.append((layer.kind, x.dtype, out.dtype))
-                return out
-            monkeypatch.setattr(cls, "apply", spy)
+        # every array from the first conv to the first dense stays float32,
+        # also after a normalize, which runs in float64; the cast weights are
+        # made on the first fast call, not at load or by forward, and kept
+        for lead in ((), (Normalize(np.array([0.5]), np.array([2.0])),)):
+            layers = (*lead,
+                      Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
+                      Relu(),
+                      Conv2d(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), (1, 1), (0, 0)),
+                      Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
+                      Dense(rng.normal(size=(5, 18)), rng.normal(size=5)), Relu(),
+                      Dense(rng.normal(size=(4, 5)), rng.normal(size=4)))
+            model = load_model(dump_model(NetworkModel((1, 8, 8), 4, layers)))
+            batch = rng.normal(size=(30, 1, 8, 8))
+            mask = label_mask(model, {1, 2})
+            forward(model, batch)
+            convs = [layer for layer in model.layers if layer.kind == "conv2d"]
+            assert not any("_float32_terms" in vars(conv) for conv in convs)
+            seen = []
+            for cls in (Conv2d, Relu, MaxPool2d, Flatten, Normalize):
+                def spy(layer, x, apply=cls.apply):
+                    out = apply(layer, x)
+                    seen.append((layer.kind, x.dtype, out.dtype))
+                    return out
+                monkeypatch.setattr(cls, "apply", spy)
+            got = indicative(model, batch, mask)
+            monkeypatch.undo()
+            assert np.array_equal(got, mask[predict(model, batch)])
+            run = len(lead) + 6  # the layers before the first dense
+            assert [kind for kind, _, _ in seen[:run]] == [layer.kind for layer in layers[:run]]
+            want = [np.float64] * len(lead) + [np.float32] * 6
+            assert [(x_dt, out_dt) for _, x_dt, out_dt in seen[:run]] == [(t, t) for t in want]
+            kept = [vars(conv)["_float32_terms"] for conv in convs]
+            indicative(model, batch, mask)
+            assert all(vars(conv)["_float32_terms"] is terms for conv, terms in zip(convs, kept))
+
+    @pytest.mark.parametrize("kind", ["conv2d", "dense"])
+    def test_normalize_after_a_weighted_layer_sends_the_batch_to_forward(
+            self, rng, monkeypatch, kind):
+        # normalize has no bound for d > 0
+        if kind == "conv2d":
+            layers = toy_conv_model(rng, num_labels=4).layers
+            layers = layers[:1] + (Normalize(np.zeros(2), np.full(2, 0.5)),) + layers[1:]
+            model = NetworkModel((1, 8, 8), 4, layers)
+        else:
+            model = random_dense_model(rng, 5, 4)
+            model = NetworkModel((5,), 4, model.layers + (Normalize(np.zeros(4), np.ones(4)),))
+        batch = rng.normal(size=(10,) + model.input_shape)
+        mask = label_mask(model, {0, 3})
+        fell_back = _spy_fallbacks(monkeypatch)
         got = indicative(model, batch, mask)
         monkeypatch.undo()
         assert np.array_equal(got, mask[predict(model, batch)])
-        assert [kind for kind, _, _ in seen[:6]] == [layer.kind for layer in layers[:6]]
-        assert all(dt == np.float32 for _, x_dt, out_dt in seen[:6] for dt in (x_dt, out_dt))
-        kept = [vars(conv)["_float32_terms"] for conv in convs]
-        indicative(model, batch, mask)
-        assert all(vars(conv)["_float32_terms"] is terms for conv, terms in zip(convs, kept))
+        assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch)
 
     def test_exact_ties_fall_back_to_the_first_label(self, rng, monkeypatch):
         model = _near_tie_model(rng)
@@ -960,25 +994,42 @@ class TestFastIndicative:
         mask = label_mask(model, {0})
         assert np.array_equal(indicative(model, batch, mask), mask[predict(model, batch)])
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.sampled_from(["", "conv", "normalize"]),
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           prefix=st.sampled_from(["", "conv", "normalize", "normalize-conv", "conv-normalize",
+                                   "conv-only"]),
            rows=st.integers(0, 40), tie=st.booleans(), scale=st.sampled_from([1e-8, 1.0, 1e8]))
     @settings(max_examples=60, deadline=None)
     def test_equals_mask_of_predict(self, seed, prefix, rows, tie, scale):
         rng = np.random.default_rng(seed)
-        if prefix == "conv":
-            model = toy_conv_model(rng, num_labels=4)
-        elif prefix == "normalize":
+        if prefix == "normalize":
             layers = (Normalize(rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)),
                       Dense(rng.normal(size=(7, 5)), rng.normal(size=7)), Relu(), Flatten(),
                       Dense(rng.normal(size=(4, 7)), rng.normal(size=4)))
             model = NetworkModel((5,), 4, layers)
+        elif prefix == "conv-only":  # the logits come from a conv
+            layers = (Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (1, 1), (0, 0)),
+                      Relu(),
+                      Conv2d(rng.normal(size=(4, 3, 2, 2)), rng.normal(size=4), (2, 2), (0, 0)),
+                      Flatten())
+            model = NetworkModel((2, 4, 4), 4, layers)
+        elif prefix:
+            layers = toy_conv_model(rng, num_labels=4).layers
+            if prefix == "normalize-conv":
+                layers = (Normalize(np.array([0.5]), np.array([2.0])),) + layers
+            elif prefix == "conv-normalize":  # per channel
+                channel = Normalize(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
+                layers = layers[:1] + (channel,) + layers[1:]
+            model = NetworkModel((1, 8, 8), 4, layers)
         else:
             model = random_dense_model(rng, 5, 4)
         if tie:  # labels 0 and 1 share their weights: forward ties them exactly
-            last = model.layers[-1]
+            idx = max(i for i, layer in enumerate(model.layers) if hasattr(layer, "weight"))
+            last = model.layers[idx]
             weight, bias = last.weight.copy(), last.bias.copy()
             weight[1], bias[1] = weight[0], bias[0]
-            model = NetworkModel(model.input_shape, 4, model.layers[:-1] + (Dense(weight, bias),))
+            layers = list(model.layers)
+            layers[idx] = dataclasses.replace(last, weight=weight, bias=bias)
+            model = NetworkModel(model.input_shape, 4, tuple(layers))
         batch = rng.normal(size=(rows,) + model.input_shape) * scale
         mask = label_mask(model, set(rng.choice(4, size=rng.integers(1, 4), replace=False)))
         got = indicative(model, batch, mask)
@@ -1023,6 +1074,28 @@ class TestFastIndicative:
         assert fast[1] == exact[1]
         if exact[1] is None:
             assert np.array_equal(fast[0], np.argmax(exact[0], axis=1) == 0)
+
+    @pytest.mark.parametrize("first", ["maxpool2d", "flatten", "relu"])
+    def test_non_finite_first_output_that_a_later_layer_drops(self, first):
+        # forward refuses the first layer's -inf (or, for a model of one
+        # relu, its inf) though a relu after it would map -inf to 0
+        head = Dense(np.array([[1.0, -2.0, 0.5, 0.25], [-1.0, 0.5, 2.0, -0.75]]), np.zeros(2))
+        if first == "maxpool2d":  # a whole window
+            model = NetworkModel((1, 4, 4), 2,
+                                 (MaxPool2d((2, 2), (2, 2)), Relu(), Flatten(), head))
+            bad, value = (1, 0, slice(2), slice(2)), -math.inf
+        elif first == "flatten":
+            model = NetworkModel((1, 2, 2), 2, (Flatten(), Relu(), head))
+            bad, value = (1, 0, 1, 0), -math.inf
+        else:
+            model = NetworkModel((2,), 2, (Relu(),))
+            bad, value = (1, 0), math.inf
+        x = np.ones((3,) + model.input_shape)
+        x[bad] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=rf"after layer 0 \({first}\)"):
+                first_label_indicator(model, x)
 
 
 class TestModelFormat:

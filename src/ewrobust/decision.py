@@ -59,10 +59,11 @@ class RobustnessQuery:
 
     def at_radius(self, radius: float, seed: int) -> RobustnessQuery:
         """This query at another radius and seed, as a bisection probe: only
-        the ball is built anew, and the plan, label mask, center and omega
-        are this query's (replace() would check and build them all again)."""
+        the ball is built anew, from this query's ball with only the radius
+        checked, and the plan, label mask, center and omega are this
+        query's (replace() would check and build them all again)."""
         probe = object.__new__(RobustnessQuery)
-        ball = sampling.BallSpec(self.center, radius, self.norm, self.clamp)
+        ball = self.ball.at_radius(radius)
         probe.__dict__.update(self.__dict__, radius=radius, seed=seed, ball=ball)
         return probe
 

@@ -2,9 +2,10 @@
 
 Six layer kinds (dense, relu, conv2d, maxpool2d, flatten, normalize) over
 float64 numpy arrays (conv2d, relu, maxpool2d and flatten also run in
-float32 for `indicative`), plus a JSON model format.  Every output row is a
-function of its input row alone, so a batch of k rows is bitwise identical to
-k single-row passes regardless of how callers batch their inputs.
+float32 for `indicative`), plus a JSON model format.  Every output row of
+`forward` is a function of its input row alone, so a batch of k rows is
+bitwise identical to k single-row passes regardless of how callers batch
+their inputs.
 
 Dense is an exact split product through the BLAS (Ozaki, Ogita, Oishi &
 Rump, Numer. Algorithms 2012): each row of the input and of the weight is
@@ -16,8 +17,8 @@ smallest first, scaled back, and the bias is added.  With u = 2**-53 and
 g_k = k u / (1 - k u), those six roundings err by at most
 g_6 (20 sum|x w| + |b|), since a row's slices sum in magnitude to at most
 4.25 times the row; the slices dropped add at most
-8 n 2**(-3 bits) 2**(e_x + e_w).  Conv keeps an explicit fixed accumulation
-order: bias, then each input channel and kernel offset in turn.
+8 n 2**(-3 bits) 2**(e_x + e_w).  A float64 conv keeps an explicit fixed
+accumulation order: bias, then each input channel and kernel offset in turn.
 
 `indicative` needs only each row's argmax, and takes it from one fast pass
 over every layer with one bound d, |x^ - x| <= d elementwise between a fast
@@ -27,10 +28,13 @@ the output of the first layer and of each normalize must be finite, as
 forward checks (a later relu or maxpool may drop a -inf there).  Normalize
 has no bound for d > 0.  Relu and maxpool are 1-Lipschitz elementwise and
 flatten is a reshape, so they keep d.  A dense runs as a plain float64 gemm,
-a conv in float32 (u' = 2**-24, g'_k = k u' / (1 - k u'), gradual
-underflow).  A float64 input that meets a conv is cast to float32, which
-errs by at most u' |x^|, or 2**-150 below float32's normal range: d grows
-by max(u' M, 2**-150), M = max|x^| over the batch.
+a conv in float32 (u' = 2**-24, g'_k = k u' / (1 - k u')) as an sgemm over
+the im2col of its input.  The BLAS may flush float32 subnormal results and
+inputs to 0 (FTZ/DAZ), each off by less than 2**-126.  A float64 input that
+meets a conv is cast to float32, which errs by at most u' |x^| in float32's
+normal range and by less than 2**-126 below it, flushed or not, so d grows
+by u' M there, M = max|x^| over the batch, and by 2**-126 wherever an input
+enters a conv.
 
 A dense or conv layer of k terms per output (k = n, the dense's input
 width, or ic kh kw) computes W x + b.  Let M = max|x^| of its input over
@@ -54,15 +58,20 @@ multiplied by 1 + (k + 11) 2**-52.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52:
   underflow, which under = (n + 8) 2**-1022 covers.  A dense runs only if
   S < 2**1020 / (1 + c): its fast and forward's values are within c S of a
   value at most S, so they, the next d and a top-two gap stay below 2**1022.
-- A conv casts W and b to float32, each off by at most u' |w| + 2**-150, and
+- A conv casts W and b to float32, each off by at most u' |w| + 2**-126, and
   sums in float32 where forward sums in float64: c = ((k + 2) u'
-  + (k + 1) 2**-53) / (1 - (k + 1) u') >= u' + (1 + u') g'_{k+1} + g_{k+1}.
-  under = (k + 1) 2**-148 covers the 2**-150 of the casts, which weights
-  that are float32-subnormal or flush to 0 meet, and products that
-  underflow (2**-150 each in float32, 2**-1075 in float64).  A conv runs
-  only if S < 2**126, k < 2**22 (so g'_{k+1} <= 1/3) and its weight is
-  finite in float32: every float32 value of the fast conv and every float64
-  value of forward's is then below 2**127, whatever the order.
+  + (k + 1) 2**-53) / (1 - (k + 1) u') >= u' + (1 + u') g'_{k+1} + g_{k+1},
+  since the sgemm sums the k products in any order and the bias is added in
+  one more rounding.  under = (k + 1) 2**-124 covers (k M + 1) 2**-126 from
+  the casts of W and b, where a weight below float32's normal range may
+  become subnormal or 0; the k products and at most k + 1 additions (the
+  BLAS may start from 0, the bias is one more) of the fast sum, each off by
+  less than 2**-126 when it underflows, by a factor of at most
+  1 + g'_{k+1} <= 4/3 after later roundings; and forward's k products, off
+  by at most 2**-1075 each.  A conv runs only if S < 2**126, k < 2**22 (so
+  g'_{k+1} <= 1/3) and its weight is finite in float32: every float32 value
+  of the fast conv and every float64 value of forward's is then below
+  2**127, whatever the order.
 
 A layer that may not run, such as one whose M is infinite or NaN, sends the
 batch through `forward`, which raises as before.  A row keeps the fast
@@ -214,8 +223,9 @@ class Relu:
         return np.maximum(x, 0.0)
 
 
-# bytes of one conv2d accumulator tile; large batches step fewer output
-# channels and rows at a time so the tile and its temporary stay in cache
+# bytes of one conv2d tile: the float64 kernel's accumulator, or the float32
+# kernel's column buffer; large batches step fewer output channels and rows
+# at a time so the tile stays in cache
 _CONV_TILE_BYTES = 512 * 1024
 
 _tile_pool: ThreadPoolExecutor | None = None
@@ -292,11 +302,12 @@ class Conv2d:
 
     @functools.cached_property
     def _float32_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weight as (ic, kh, kw, oc) and the bias in float32, made on the
-        first float32 call and kept on the layer."""
+        """The weight as a contiguous (oc, ic kh kw) matrix and the bias in
+        float32, made on the first float32 call and kept on the layer."""
+        oc, k = self.weight.shape[0], math.prod(self.weight.shape[1:])
         with np.errstate(over="ignore"):
             weight, bias = self.weight.astype(np.float32), self.bias.astype(np.float32)
-        return weight.transpose(1, 2, 3, 0), bias
+        return weight.reshape(oc, k), bias
 
     @functools.cached_property
     def _bound_terms(self) -> tuple[float, ...]:
@@ -304,34 +315,67 @@ class Conv2d:
         if k >= 2 ** 22 or np.isinf(self._float32_terms[0]).any():  # never runs fast
             return _bound_scalars(self.weight, self.bias, math.inf, math.inf, 0.0)
         c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
-        return _bound_scalars(self.weight, self.bias, c, (k + 1) * 2.0 ** -148, 2.0 ** 126)
+        return _bound_scalars(self.weight, self.bias, c, (k + 1) * 2.0 ** -124, 2.0 ** 126)
 
     def apply(self, x):
         # rows innermost: the input is laid out (C, H, W, n) and the output
-        # (oc, oh, ow, n), returned as a batch-first transposed view.  Each
-        # output element is bias, then + x*w for (c, i, j) in lexicographic
-        # order, two roundings per step, as for any other batch size or tiling.
-        # A float32 input runs in float32 with the cast weight and bias.
+        # (oc, oh, ow, n), returned as a batch-first transposed view.  A
+        # float32 input runs in float32 through im2col and the BLAS, any
+        # other in float64 through the fixed-order tile kernel.
         oc, ic, kh, kw = self.weight.shape
         ph, pw = self.padding
-        sh, sw = self.stride
         _, oh, ow = self.out_shape(x.shape[1:])
         n, _, h, w = x.shape
-        if x.dtype == np.float32:
-            weight, bias = self._float32_terms
-        else:
-            weight, bias = self.weight.transpose(1, 2, 3, 0), self.bias  # (ic, kh, kw, oc)
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
         if ph or pw:
-            xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n), weight.dtype)
+            xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n), dtype)
             xt[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
         else:  # no copy when x is the view a conv or relu returned
-            xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-        # tiles of output rows and channels whose accumulator fits the cache
-        # budget: all rows of as many channels as fit, else as many rows of one
+            xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0), dtype)
+        out = np.empty((oc, oh, ow, n), dtype)
+        if dtype == np.float32:
+            self._im2col(xt, out)
+        else:
+            self._tiles(xt, out)
+        return out.transpose(3, 0, 1, 2)
+
+    def _im2col(self, xt, out):
+        """out = W cols + b per tile of output rows, one sgemm a tile: cols
+        holds the input slab under each (c, i, j) of the kernel, rows
+        innermost, so each block is a plain strided copy of xt."""
+        weight, bias = self._float32_terms
+        oc, k = weight.shape
+        ic, kh, kw = self.weight.shape[1:]
+        sh, sw = self.stride
+        _, oh, ow, n = out.shape
+        row = ow * n  # output elements of one output row, per channel
+        rows = min(oh, max(1, _CONV_TILE_BYTES // max(1, k * row * 4)))
+        buf = np.empty(k * rows * row, np.float32)
+        flat = out.reshape(oc, oh * row)
+        for r in range(0, oh, rows):
+            t = min(rows, oh - r)
+            cols = buf[:k * t * row].reshape(ic, kh, kw, t, ow, n)
+            top, bottom = r * sh, (r + t) * sh
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, i, j] = xt[:, top + i:bottom + i:sh, j:j + ow * sw:sw]
+            block = flat[:, r * row:(r + t) * row]
+            np.matmul(weight, cols.reshape(k, t * row), out=block)
+            block += bias[:, None]
+
+    def _tiles(self, xt, out):
+        """Each output element is bias, then + x*w for (c, i, j) in
+        lexicographic order, two roundings per step, as for any other batch
+        size or tiling; tiles of output rows and channels whose accumulator
+        fits the cache budget run on the tile pool."""
+        weight, bias = self.weight.transpose(1, 2, 3, 0), self.bias  # (ic, kh, kw, oc)
+        ic, kh, kw, oc = weight.shape
+        sh, sw = self.stride
+        _, oh, ow, n = out.shape
+        # all rows of as many channels as fit, else as many rows of one
         row_bytes = max(1, ow * n * weight.itemsize)  # an empty batch takes one tile
         rows = min(oh, max(1, _CONV_TILE_BYTES // row_bytes))
         block = min(oc, max(1, _CONV_TILE_BYTES // (rows * row_bytes)))
-        out = np.empty((oc, oh, ow, n), weight.dtype)
 
         def run(tiles):  # disjoint tiles of out, one temporary per share
             tmp = np.empty((block, rows, ow, n), weight.dtype)
@@ -349,7 +393,6 @@ class Conv2d:
                             acc += prod
 
         _run_tiles(run, [(o, r) for o in range(0, oc, block) for r in range(0, oh, rows)])
-        return out.transpose(3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -515,7 +558,8 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         cast = layer.kind == "conv2d" and x.dtype == np.float64
         x = x.astype(np.float32) if cast else x
         m = float(np.abs(x).max(initial=0.0))
-        d += max(m * 2.0 ** -24, 2.0 ** -150) if cast else 0.0
+        if layer.kind == "conv2d":  # the cast, then an input the BLAS may flush
+            d += (m * 2.0 ** -24 if cast else 0.0) + 2.0 ** -126
         wsum, bmax, c, under, limit, grow = layer._bound_terms
         s = bmax + wsum * (m + d)
         if not s < limit:
@@ -524,8 +568,9 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         if layer.kind == "conv2d":
             x = layer.apply(x)
             continue
-        # row blocks as in the split product: a whole-batch gemm wakes every
-        # BLAS thread, which then competes with the conv tile pool
+        # row blocks as in the split product: one whole-batch gemm gave no
+        # speed gain that held over 10 benchmark pairs of MLP and CNN decides,
+        # and a higher peak RSS in every pair
         y = np.empty((len(x), layer.bias.size))
         block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
         for r0 in range(0, len(x), block):

@@ -37,8 +37,7 @@ class BallSpec:
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
         object.__setattr__(self, "center", center)
-        if not 0 <= self.radius < math.inf:
-            raise ValueError(f"radius must be finite and non-negative, got {self.radius}")
+        _check_radius(self.radius)
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.clamp is not None:
@@ -49,6 +48,19 @@ class BallSpec:
     @property
     def dim(self) -> int:
         return self.center.size
+
+    def at_radius(self, radius: float) -> BallSpec:
+        """This ball at another radius.  Only the radius is checked: the
+        center, norm and clamp are this ball's, checked when it was built."""
+        _check_radius(radius)
+        ball = object.__new__(BallSpec)
+        ball.__dict__.update(self.__dict__, radius=radius)
+        return ball
+
+
+def _check_radius(radius: float) -> None:
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
 
 
 def _l1_batch(spec: BallSpec, seed: int, indices: np.ndarray) -> np.ndarray:

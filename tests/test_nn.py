@@ -439,29 +439,52 @@ class TestConvAndPoolSemantics:
         assert np.array_equal(pooled, inline)
         assert np.array_equal(pooled, self._broadcast_conv(layer, x))
 
-    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
-                                               (1, True), (2000, True)])
-    def test_float32_tiles_bitwise_equal_float32_broadcast_kernel(self, rng, monkeypatch,
-                                                                 stride, pad, budget, pooled):
-        # a float32 input runs the same tiles in float32, with the weight and
-        # bias cast once; budget None keeps the default, one tile here
+    def _float32_conv(self, monkeypatch, layer, x, budget, pooled):
+        """layer.apply(x) at a tile budget (None keeps the default), and with
+        pooled on an eager pool, which must get no tile: the float32 conv
+        runs its tiles on the caller, as sgemms through the BLAS."""
         if budget is not None:
             monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
-        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
-        x = rng.normal(size=(7, 2, 11, 9)).astype(np.float32)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-        exact = layer.apply(x.astype(np.float64))
         pool = self._eager_pool(monkeypatch) if pooled else None
         try:
             got = layer.apply(x)
         finally:
             if pool is not None:
                 pool.shutdown()
-        assert pool is None or pool.submits == 1
+        assert pool is None or pool.submits == 0
         assert got.dtype == np.float32
-        assert np.array_equal(got, self._broadcast_conv(layer, x))
-        assert np.allclose(got, exact, rtol=0, atol=1e-4)
+        return got
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
+                                               (1, True), (2000, True)])
+    def test_float32_conv_on_integers_equals_exact_conv(self, rng, monkeypatch,
+                                                        stride, pad, budget, pooled):
+        # integers up to 8: every sum of 18 products and the bias is an
+        # integer below 2**11, exact in float32 in any order.  3 rows of 2
+        # channels of 11 x 4 make tiles of one output row at budget 1, of four
+        # at 2000, the last partial, and of all at the default, so every tile
+        # must write the exact values through its view of the output
+        layer = Conv2d(rng.integers(-8, 9, size=(3, 2, 3, 3)).astype(float),
+                       rng.integers(-8, 9, size=3).astype(float), stride, pad)
+        x = rng.integers(-8, 9, size=(3, 2, 11, 4)).astype(np.float32)
+        exact = layer.apply(x.astype(np.float64))
+        assert np.array_equal(self._float32_conv(monkeypatch, layer, x, budget, pooled), exact)
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
+                                               (1, True), (2000, True)])
+    def test_float32_conv_within_its_bound(self, rng, monkeypatch, stride, pad, budget, pooled):
+        # the nn module docstring's conv term at d = 0: c S + under (1 + M),
+        # S = max|b| + |W|_1 M, M = max|x|, k = 18
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(3, 2, 11, 4)).astype(np.float32)
+        exact = layer.apply(x.astype(np.float64))
+        got = self._float32_conv(monkeypatch, layer, x, budget, pooled)
+        k, big = 18, float(np.abs(x).max())
+        c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
+        s = np.abs(layer.bias).max() + np.abs(layer.weight).sum(axis=(1, 2, 3)).max() * big
+        assert np.abs(got - exact).max() <= c * s + (k + 1) * 2.0 ** -124 * (1 + big)
 
     def test_conv_tiles_shared_by_main_thread_and_pool(self, rng, monkeypatch):
         # a real pool of two workers, created on first use; which thread takes
@@ -783,14 +806,14 @@ def _twice_the_bound(model, batch) -> Fraction:
     """2 d for a batch through a near-tie model, in exact rationals, by the nn
     module docstring.  From d = 0, per dense or 1x1 conv of k terms per
     output, M the batch's max|input|, |W|_1 its largest sum of |w| over an
-    output and S = max|b| + |W|_1 (M + d), after d += max(u' M, 2**-150) for
-    the cast to float32 at the first conv,
+    output and S = max|b| + |W|_1 (M + d), after d += u' M for the cast to
+    float32 at the first conv and d += 2**-126 at every conv,
 
         d <- |W|_1 d + c S + under (1 + M),
 
     with c = (k + 121) 2**-52 + 32 k 2**(-3 bits) and under = (k + 8) 2**-1022
     for a dense, c = ((k + 2) 2**-24 + (k + 1) 2**-53) / (1 - (k + 1) 2**-24)
-    and under = (k + 1) 2**-148 for a conv.  Every value of these models is
+    and under = (k + 1) 2**-124 for a conv.  Every value of these models is
     exact, so the fast values are forward's."""
     x = [[Fraction(v) for v in row.flat] for row in batch]
     d, float32 = Fraction(0), False
@@ -807,10 +830,11 @@ def _twice_the_bound(model, batch) -> Fraction:
             under = Fraction(k + 8, 2 ** 1022)
         else:
             c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
-            under = Fraction(k + 1, 2 ** 148)
+            under = Fraction(k + 1, 2 ** 124)
         big = max(abs(v) for row in x for v in row)
-        if layer.kind == "conv2d" and not float32:
-            d, float32 = d + max(big / 2 ** 24, Fraction(1, 2 ** 150)), True
+        if layer.kind == "conv2d":
+            d += (0 if float32 else big / 2 ** 24) + Fraction(1, 2 ** 126)
+            float32 = True
         wsum = max(sum(abs(v) for v in w) for w in weight)
         s = max(abs(b) for b in bias) + wsum * (big + d)
         d = wsum * d + c * s + under * (1 + big)
@@ -934,6 +958,26 @@ class TestFastIndicative:
             kept = [vars(conv)["_float32_terms"] for conv in convs]
             indicative(model, batch, mask)
             assert all(vars(conv)["_float32_terms"] is terms for conv, terms in zip(convs, kept))
+
+    def test_fast_pass_leaves_the_tile_pool_alone(self, rng, monkeypatch):
+        # the float32 convs run as sgemms on the caller: with 3 CPUs and tiles
+        # of 2000 bytes, the float64 tile kernel would share its tiles out
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layers = (Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
+                  Relu(),
+                  Conv2d(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), (1, 1), (0, 0)),
+                  Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(),
+                  Dense(rng.normal(size=(4, 18)), rng.normal(size=4)))
+        model = NetworkModel((1, 8, 8), 4, layers)
+        batch = rng.normal(size=(30, 1, 8, 8))
+        pool = TestConvAndPoolSemantics._eager_pool(monkeypatch, cpus=3)
+        try:
+            y, d = nn._fast(model, batch)
+        finally:
+            pool.shutdown()
+        assert pool.submits == 0
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)  # forward's tiles inline
+        assert np.abs(y - forward(model, batch)).max() <= d
 
     @pytest.mark.parametrize("kind", ["conv2d", "dense"])
     def test_normalize_after_a_weighted_layer_sends_the_batch_to_forward(

@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -130,30 +129,26 @@ def _load_model_file(path: str):
 
 
 def _checked_flags(args):
-    """The --shape, --omega and --clamp syntax and the statistics flags
-    (through the ErrorBudget and plan_test calls the query makes), checked
-    before the first file is opened.  Returns (shape, omega, clamp), each
-    None when not given."""
+    """The --shape, --omega and --clamp syntax and the statistics flags,
+    checked before the first file is opened.  Returns (shape, omega, clamp,
+    plan): the run's one test plan, and the others None when not given."""
     shape = _parse_shape(args.shape) if args.shape is not None else None
     omega = _parse_omega(args.omega) if args.omega is not None else None
     clamp = _parse_clamp(args.clamp) if args.clamp else None
     try:
-        plan_test(args.eps, ErrorBudget(args.alpha, args.beta), args.eps_prime)
+        plan = plan_test(args.eps, ErrorBudget(args.alpha, args.beta), args.eps_prime)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return shape, omega, clamp
+    return shape, omega, clamp, plan
 
 
-def _prototype(args, model, center, omega, clamp, radius=0.0):
-    """The run's query, built before any work; every point and probe varies
-    only center, omega, seed and radius.  An omega the model's labels do not
-    hold is a usage error."""
+def _query(args, model, plan, clamp, center, omega, seed, radius=0.0):
+    """The run's query at one center: its plan, --norm, --clamp and --batch
+    are the run's.  An omega the model's labels do not hold is a usage
+    error."""
     try:
-        return RobustnessQuery(
-            model=model, center=center, radius=radius, norm=args.norm,
-            epsilon=args.eps, omega=omega, budget=ErrorBudget(args.alpha, args.beta),
-            seed=args.seed, batch_size=args.batch, epsilon_prime=args.eps_prime,
-            clamp=clamp)
+        ball = sampling.BallSpec(center, radius, args.norm, clamp)
+        return RobustnessQuery(model, ball, omega, plan, seed, args.batch)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -167,7 +162,7 @@ def _load_point(args, radius=0.0):
             raise UsageError("give a center via --input or --dataset with --index")
         if args.index is None:
             raise UsageError("--dataset needs --index to pick a point")
-    shape, omega, clamp = _checked_flags(args)
+    shape, omega, clamp, plan = _checked_flags(args)
     model = _load_model_file(args.model)
     shape = shape or model.input_shape
     gold = None
@@ -183,19 +178,21 @@ def _load_point(args, radius=0.0):
     if omega is None:
         label = gold if gold is not None else int(predict(model, center[None])[0])
         omega = frozenset({label})
-    return _prototype(args, model, center, omega, clamp, radius), gold
+    return _query(args, model, plan, clamp, center, omega, args.seed, radius), gold
 
 
-def _load_sweep(args):
-    """Model, dataset, --omega override and prototype query of curve/radii."""
+def _load_sweep(args, seed_of):
+    """Model and dataset of curve/radii, and each dataset point's query: its
+    omega is --omega, else the point's gold label, and its seed
+    seed_of(point index)."""
     if args.dataset is None or args.labels is None or args.shape is None:
         raise UsageError(f"{args.command} needs --dataset, --labels and --shape")
-    shape, omega, clamp = _checked_flags(args)
+    shape, omega, clamp, plan = _checked_flags(args)
     model = _load_model_file(args.model)
     dataset = load_dataset(args.dataset, args.labels, shape, model.num_labels)
-    query = _prototype(args, model, dataset.inputs[0],
-                       omega or {int(dataset.labels[0])}, clamp)
-    return model, dataset, omega, query
+    queries = [_query(args, model, plan, clamp, center, omega or {int(gold)}, seed_of(pid))
+               for pid, (center, gold) in enumerate(zip(dataset.inputs, dataset.labels))]
+    return model, dataset, queries
 
 
 def _run_metadata(args, plan=None) -> list[str]:
@@ -215,7 +212,7 @@ def cmd_decide(args) -> int:
     plan = query.plan
     t0 = time.perf_counter()
     if args.radius == 0.0:
-        decision = SAT if point_check(query.model, query.center, query.omega) else UNSAT
+        decision = SAT if point_check(query) else UNSAT
         print(decision, "(point check, r=0)")
         successes, drawn = int(decision == SAT), 1
         plan = None
@@ -254,7 +251,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_curve(args) -> int:
     grid = _parse_grid(args)
-    model, dataset, omega, prototype = _load_sweep(args)
+    # each radius draws from its own sub-seeds, so the queries' seed is unused
+    model, dataset, queries = _load_sweep(args, lambda pid: args.seed)
 
     keep = list(range(len(dataset)))
     if args.correct_only:
@@ -266,17 +264,14 @@ def cmd_curve(args) -> int:
         if not keep:
             raise UsageError("--correct-only left no dataset points")
 
-    def point(ri, radius, pi):
-        point_omega = omega or frozenset({int(dataset.labels[pi])})
-        if radius == 0.0:
-            return point_check(model, dataset.inputs[pi], point_omega)
-        query = replace(prototype, center=dataset.inputs[pi], omega=point_omega,
-                        radius=radius, seed=derive_subseed(derive_subseed(args.seed, ri), pi))
-        return decide(query).decision == SAT
-
     rows = []
     for ri, radius in enumerate(grid):
-        n_sat = sum(point(ri, radius, pi) for pi in keep)
+        if radius == 0.0:
+            n_sat = sum(point_check(queries[pi]) for pi in keep)
+        else:
+            seed = derive_subseed(args.seed, ri)
+            n_sat = sum(decide(queries[pi].at_radius(radius, derive_subseed(seed, pi)))
+                        .decision == SAT for pi in keep)
         rows.append([radius, len(keep), n_sat, n_sat / len(keep)])
     write_report(args.out or sys.stdout, _run_metadata(args),
                  ["radius", "n_points", "n_sat", "fraction_sat"], rows)
@@ -284,14 +279,12 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    model, dataset, omega, prototype = _load_sweep(args)
+    _, dataset, queries = _load_sweep(args, lambda pid: derive_subseed(args.seed, pid))
 
     rows = []
     by_class: dict[int, list[float]] = {}
-    for pid in range(len(dataset)):
+    for pid, query in enumerate(queries):
         gold = int(dataset.labels[pid])
-        query = replace(prototype, center=dataset.inputs[pid], omega=omega or {gold},
-                        seed=derive_subseed(args.seed, pid))
         try:
             r_star = evaluate(query, args.radius_max, args.precision).r_star
         except CenterMisclassifiedError:

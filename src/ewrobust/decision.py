@@ -16,7 +16,7 @@ import numpy as np
 from . import sampling
 from .nn import NetworkModel, indicative, label_mask
 from .prng import derive_subseed
-from .stats import ErrorBudget, TestPlan, early_accept, early_reject, plan_test
+from .stats import TestPlan, early_accept, early_reject
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -31,27 +31,18 @@ class CenterMisclassifiedError(ValueError):
 
 @dataclass(frozen=True)
 class RobustnessQuery:
+    """One decision: sample the ball, accept a sample whose label lies in
+    omega, and test with the plan.  The ball and plan come checked (see
+    sampling.BallSpec and stats.plan_test); the label mask is built here."""
     model: NetworkModel
-    center: np.ndarray
-    radius: float
-    norm: str
-    epsilon: float
+    ball: sampling.BallSpec
     omega: frozenset[int]
-    budget: ErrorBudget
+    plan: TestPlan
     seed: int
     batch_size: int = 256
-    epsilon_prime: float | None = None
-    clamp: tuple[float, float] | None = None
-    plan: TestPlan = field(init=False)
-    ball: sampling.BallSpec = field(init=False)
     mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "plan",
-                           plan_test(self.epsilon, self.budget, self.epsilon_prime))
-        ball = sampling.BallSpec(self.center, self.radius, self.norm, self.clamp)
-        object.__setattr__(self, "ball", ball)
-        object.__setattr__(self, "center", ball.center)
         object.__setattr__(self, "omega", frozenset(int(l) for l in self.omega))
         object.__setattr__(self, "mask", label_mask(self.model, self.omega))
         if self.batch_size < 1:
@@ -59,12 +50,10 @@ class RobustnessQuery:
 
     def at_radius(self, radius: float, seed: int) -> RobustnessQuery:
         """This query at another radius and seed, as a bisection probe: only
-        the ball is built anew, from this query's ball with only the radius
-        checked, and the plan, label mask, center and omega are this
-        query's (replace() would check and build them all again)."""
+        the ball is built anew, with only the radius checked, and the plan,
+        mask and omega are this query's."""
         probe = object.__new__(RobustnessQuery)
-        ball = self.ball.at_radius(radius)
-        probe.__dict__.update(self.__dict__, radius=radius, seed=seed, ball=ball)
+        probe.__dict__.update(self.__dict__, ball=self.ball.at_radius(radius), seed=seed)
         return probe
 
 
@@ -144,10 +133,10 @@ def decide(query: RobustnessQuery) -> Verdict:
     return decide_with_source(query.plan, model_source(query), query.batch_size)
 
 
-def point_check(model: NetworkModel, center: np.ndarray, omega) -> bool:
-    """Degenerate radius-0 case: is the center itself accepted?"""
-    point = np.asarray(center, dtype=np.float64).reshape((1,) + model.input_shape)
-    return bool(indicative(model, point, label_mask(model, omega))[0] == 1)
+def point_check(query: RobustnessQuery) -> bool:
+    """Degenerate radius-0 case: is the ball's center itself accepted?"""
+    point = query.ball.center.reshape((1,) + query.model.input_shape)
+    return bool(indicative(query.model, point, query.mask)[0] == 1)
 
 
 def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
@@ -159,7 +148,7 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
     `oracle` overrides the per-radius decision procedure (stub oracles for
     tests); by default each probe runs decide() at that radius with a
     probe-specific sub-seed so the whole evaluation is reproducible.
-    query.radius is ignored.
+    The radius of query.ball is ignored.
     """
     if not radius_max > 0:
         raise ValueError(f"radius_max must be positive, got {radius_max}")
@@ -167,7 +156,7 @@ def evaluate(query: RobustnessQuery, radius_max: float, precision: float,
         raise ValueError(f"precision must be positive, got {precision}")
     probes: list[tuple[float, Verdict]] = []
     if oracle is None:
-        if not point_check(query.model, query.center, query.omega):
+        if not point_check(query):
             raise CenterMisclassifiedError(
                 "center is not classified into omega; the bisection search does "
                 "not apply to misclassified points -- run decide() at fixed, "

@@ -29,12 +29,13 @@ forward checks (a later relu or maxpool may drop a -inf there).  Normalize
 has no bound for d > 0.  Relu and maxpool are 1-Lipschitz elementwise and
 flatten is a reshape, so they keep d.  A dense runs as a plain float64 gemm,
 a conv in float32 (u' = 2**-24, g'_k = k u' / (1 - k u')) as an sgemm over
-the im2col of its input.  The BLAS may flush float32 subnormal results and
-inputs to 0 (FTZ/DAZ), each off by less than 2**-126.  A float64 input that
-meets a conv is cast to float32, which errs by at most u' |x^| in float32's
-normal range and by less than 2**-126 below it, flushed or not, so d grows
-by u' M there, M = max|x^| over the batch, and by 2**-126 wherever an input
-enters a conv.
+the im2col of its input.  The BLAS may flush subnormal results and inputs to
+0 (FTZ/DAZ), each off by less than 2**-126 in float32 and 2**-1022 in
+float64.  A float64 input that meets a conv is cast to float32, which errs
+by at most u' |x^| in float32's normal range and by less than 2**-126 below
+it, flushed or not, so d grows by u' M there, M = max|x^| over the batch,
+by 2**-126 wherever an input enters a conv and by 2**-1022 wherever one
+enters a dense.
 
 A dense or conv layer of k terms per output (k = n, the dense's input
 width, or ic kh kw) computes W x + b.  Let M = max|x^| of its input over
@@ -53,11 +54,16 @@ multiplied by 1 + (k + 11) 2**-52.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52:
 - A dense's float64 sum errs by at most g_{n+1} S and forward's split
   product by at most 20 g_6 S + 8 n 2**(-3 bits) 2**(e_x + e_w) (above),
   where 2**(e_x + e_w) <= 4 max|x| max|w| <= 4 S: c = (n + 121) 2**-52
-  + 32 n 2**(-3 bits).  The n products of the fast sum, forward's scaling
-  back and the bound's own products each lose at most 2**-1075 to
-  underflow, which under = (n + 8) 2**-1022 covers.  A dense runs only if
-  S < 2**1020 / (1 + c): its fast and forward's values are within c S of a
-  value at most S, so they, the next d and a top-two gap stay below 2**1022.
+  + 32 n 2**(-3 bits).  under = (3 n + 8) 2**-1022 covers n M 2**-1022 from
+  weights that the gemm may read as 0; the n products and at most n + 1
+  additions (the bias is one) of the fast sum, each off by less than
+  2**-1022 when it underflows, flushed or not, by a factor of at most
+  1 + g_{n+1} <= 4/3 after later roundings (n < 2**51 for any weight in
+  memory), so by (8 n + 4) 2**-1022 / 3 in all; and forward's scaling back
+  and the bound's own products, off by at most 2**-1075 each.  A dense runs
+  only if S < 2**1020 / (1 + c): its fast and forward's values are within
+  c S of a value at most S, so they, the next d and a top-two gap stay below
+  2**1022.
 - A conv casts W and b to float32, each off by at most u' |w| + 2**-126, and
   sums in float32 where forward sums in float64: c = ((k + 2) u'
   + (k + 1) 2**-53) / (1 - (k + 1) u') >= u' + (1 + u') g'_{k+1} + g_{k+1},
@@ -204,7 +210,7 @@ class Dense:
     def _bound_terms(self) -> tuple[float, ...]:
         n = self.weight.shape[1]
         c = (n + 121) * 2.0 ** -52 + 32 * n * 2.0 ** (-3 * _slice_bits(n))
-        return _bound_scalars(self.weight, self.bias, c, (n + 8) * 2.0 ** -1022,
+        return _bound_scalars(self.weight, self.bias, c, (3 * n + 8) * 2.0 ** -1022,
                               2.0 ** 1020 / (1 + c))
 
     def apply(self, x):
@@ -560,6 +566,8 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         m = float(np.abs(x).max(initial=0.0))
         if layer.kind == "conv2d":  # the cast, then an input the BLAS may flush
             d += (m * 2.0 ** -24 if cast else 0.0) + 2.0 ** -126
+        else:  # an input the BLAS may flush
+            d += 2.0 ** -1022
         wsum, bmax, c, under, limit, grow = layer._bound_terms
         s = bmax + wsum * (m + d)
         if not s < limit:

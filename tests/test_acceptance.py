@@ -104,10 +104,8 @@ def test_criterion_4_statistical_guarantee_calibration():
         model = threshold_classifier(1, 0, t)
         bad = 0
         for run in range(m_runs):
-            query = RobustnessQuery(
-                model=model, center=np.zeros(1), radius=1.0, norm=LINF,
-                epsilon=eps, omega=frozenset({0}), budget=budget,
-                seed=derive_subseed(986, run), batch_size=4096)
+            query = RobustnessQuery(model, BallSpec(np.zeros(1), 1.0, LINF), {0}, plan,
+                                    derive_subseed(986, run), batch_size=4096)
             if decide(query).decision == bad_decision:
                 bad += 1
         return bad / m_runs
@@ -217,10 +215,8 @@ def test_criterion_6_gadget_soundness():
 def test_criterion_7_bisection_correctness():
     radius_max, precision = 16.0, 0.01
     probes_expected = math.ceil(math.log2(radius_max / precision))  # 11
-    query = RobustnessQuery(
-        model=threshold_classifier(1, 0, 1.0), center=np.zeros(1), radius=0.0,
-        norm=LINF, epsilon=0.2, omega=frozenset({0}),
-        budget=ErrorBudget(0.05, 0.05), seed=0)
+    query = RobustnessQuery(threshold_classifier(1, 0, 1.0), BallSpec(np.zeros(1), 0.0, LINF),
+                            {0}, plan_test(0.2, ErrorBudget(0.05, 0.05)), seed=0)
     ok = True
     details = []
     for r_true in (0.1, 5.0, radius_max - precision):
@@ -277,15 +273,14 @@ def test_criterion_9_curve_shape():
     r_c = d / (1.0 - 2.0 * eps)  # 0.5
     delta = 0.06
     model = threshold_classifier(1, 0, d)
+    plan = plan_test(eps, budget)
 
     def fraction_sat(radius: float) -> float:
         sat = 0
         runs = 40
         for k in range(runs):
-            query = RobustnessQuery(
-                model=model, center=np.zeros(1), radius=radius, norm=LINF,
-                epsilon=eps, omega=frozenset({0}), budget=budget,
-                seed=derive_subseed(909, k), batch_size=4096)
+            query = RobustnessQuery(model, BallSpec(np.zeros(1), radius, LINF), {0}, plan,
+                                    derive_subseed(909, k), batch_size=4096)
             sat += int(decide(query).decision == SAT)
         return sat / runs
 

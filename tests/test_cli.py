@@ -1,11 +1,12 @@
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from conftest import toy_conv_model
-from ewrobust import cli, decision, nn
+from ewrobust import cli, decision, nn, stats
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
@@ -43,10 +44,25 @@ def fake_decide(monkeypatch, r_true):
     """Replace decision.decide by a noiseless oracle: SAT iff the probe radius
     is at most r_true(center)."""
     def decide(query):
-        sat = query.radius <= r_true(query.center)
+        sat = query.ball.radius <= r_true(query.ball.center)
         return Verdict(SAT if sat else UNSAT, 0, 0, query.plan,
                        "early_accept" if sat else "early_reject")
     monkeypatch.setattr(decision, "decide", decide)
+
+
+def spy(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name, also through each
+    ewrobust module that imported it by name."""
+    real, calls = getattr(owner, name), []
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+    for mod in [owner] + list(sys.modules.values()):
+        if mod is owner or (getattr(mod, "__name__", "").startswith("ewrobust")
+                            and vars(mod).get(name) is real):
+            monkeypatch.setattr(mod, name, spied)
+    return calls
 
 
 def body_lines(path):
@@ -349,7 +365,8 @@ class TestSweepThreads:
     @pytest.mark.parametrize("command", ["curve", "radii"])
     def test_every_query_runs_on_main_thread(self, threshold_model_file, dataset_files,
                                              tmp_path, monkeypatch, command):
-        # eight usable CPUs and --workers 8: still one query at a time, in order
+        # eight usable CPUs and --workers 8: still one query at a time, in
+        # order, and one plan and one query per point for the whole sweep
         monkeypatch.setattr(nn, "_usable_cpus", lambda: 8)
         threads, query = [], getattr(cli, self.QUERY[command])
 
@@ -358,10 +375,13 @@ class TestSweepThreads:
             return query(*args)
 
         monkeypatch.setattr(cli, self.QUERY[command], recording)
+        plans = spy(monkeypatch, stats, "plan_test")
+        built = spy(monkeypatch, decision.RobustnessQuery, "__post_init__")
         assert sweep(command, threshold_model_file, dataset_files,
                      str(tmp_path / "out.csv"), "--workers", "8") == 0
         assert len(threads) == 12 * (3 if command == "curve" else 1)
         assert all(t is threading.main_thread() for t in threads)
+        assert (len(plans), len(built)) == (1, 12)
 
 
 class TestGadget:

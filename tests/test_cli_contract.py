@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewrobust import sampling
 from ewrobust.cli import main
 from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import dump_model
@@ -189,6 +190,9 @@ USAGE_ERRORS = {
     "alpha nan": ["decide", "--alpha", "nan"],
     "batch 0": ["decide", "--batch", "0"],
     "omega outside the model": ["decide", "--omega", "5"],
+    "evaluate omega outside the model": ["evaluate", "--omega", "5"],
+    "curve omega outside the model": ["curve", "--omega", "0,5"],
+    "radii omega outside the model": ["radii", "--omega", "5"],
     "clamp nan": ["decide", "--clamp", "nan,1"],
     "precision 0": ["evaluate", "--precision", "0"],
     "radius-max nan": ["evaluate", "--radius-max", "nan"],
@@ -204,9 +208,10 @@ USAGE_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
-def test_bad_value_is_usage_error(files, case):
+def test_bad_value_is_usage_error(files, case, monkeypatch):
     command, *change = USAGE_ERRORS[case]
     argv = to_argv(command, base(files, command)) + change  # the last value wins
+    monkeypatch.setattr(sampling, "sample_batch", None)  # raised before any sampling
     rc, err = run(argv)
     assert rc == 2, (argv, err)
     assert err.startswith("usage error:") and "Traceback" not in err

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dense_model
-from ewrobust import decision
+from ewrobust import decision, nn, stats
 from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
                                RadiusResult, RobustnessQuery, Verdict, decide,
                                decide_with_source, evaluate, model_source,
@@ -16,10 +16,12 @@ from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
 from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import Dense, NetworkModel, indicative, label_mask
 from ewrobust.prng import derive_subseed, uniforms
-from ewrobust.sampling import sample_batch
+from ewrobust.sampling import BallSpec, sample_batch
 from ewrobust.stats import ErrorBudget, TestPlan, plan_test
 
 BUDGET = ErrorBudget(0.001, 0.001)
+PLAN = plan_test(0.01, BUDGET)  # the CLI defaults: N = 891
+SMALL_PLAN = plan_test(0.2, ErrorBudget(0.05, 0.05), 0.1)
 
 
 def constant_model(label: int, num_labels: int = 2, n_in: int = 3) -> NetworkModel:
@@ -28,10 +30,12 @@ def constant_model(label: int, num_labels: int = 2, n_in: int = 3) -> NetworkMod
     return NetworkModel((n_in,), num_labels, (Dense(np.zeros((num_labels, n_in)), bias),))
 
 
-def query_for(model, *, radius=0.5, epsilon=0.01, omega=(0,), seed=7, **kw):
-    return RobustnessQuery(model=model, center=np.zeros(model.input_shape),
-                           radius=radius, norm="inf", epsilon=epsilon,
-                           omega=frozenset(omega), budget=BUDGET, seed=seed, **kw)
+def query_for(model, *, center=None, radius=0.5, norm="inf", clamp=None, omega=(0,),
+              plan=PLAN, seed=7, **kw):
+    """A query around center (default the origin) with the ball built here."""
+    center = np.zeros(model.input_shape) if center is None else center
+    return RobustnessQuery(model, BallSpec(center, radius, norm, clamp), frozenset(omega),
+                           plan, seed, **kw)
 
 
 def bernoulli_source(p: float, seed: int):
@@ -70,39 +74,34 @@ class TestQueryValidation:
 
     def test_bad_norm_raises_at_construction(self):
         with pytest.raises(ValueError, match="norm must be one of"):
-            replace(query_for(constant_model(0)), norm="3")
+            query_for(constant_model(0), norm="3")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_center_raises_at_construction(self, value):
         with pytest.raises(ValueError, match="ball center must be finite"):
-            replace(query_for(constant_model(0)), center=np.array([0.0, value, 0.0]))
+            query_for(constant_model(0), center=np.array([0.0, value, 0.0]))
 
     def test_ball_and_mask_built_with_the_query(self):
         model = constant_model(0, num_labels=3)
-        q = query_for(model, omega=(0, 2), clamp=(-1.0, 1.0))
+        q = query_for(model, omega=[0, 2], clamp=(-1.0, 1.0))
         assert (q.ball.radius, q.ball.norm, q.ball.clamp) == (0.5, "inf", (-1.0, 1.0))
-        assert q.ball.center is q.center and q.center.shape == (3,)
-        assert np.array_equal(q.mask, [1, 0, 1])
-        moved = replace(q, radius=0.25, center=np.ones((1, 3)), omega={1})
-        assert (moved.ball.radius, moved.ball.clamp) == (0.25, (-1.0, 1.0))
+        assert q.ball.center.shape == (3,)
+        assert q.omega == frozenset({0, 2}) and np.array_equal(q.mask, [1, 0, 1])
+        assert [f.name for f in fields(q)] == ["model", "ball", "omega", "plan", "seed",
+                                               "batch_size", "mask"]
+        moved = replace(q, ball=BallSpec(np.ones((1, 3)), 0.25, "inf"), omega={1})
+        assert moved.plan is q.plan and moved.ball.radius == 0.25
         assert np.array_equal(moved.ball.center, np.ones(3))
         assert np.array_equal(moved.mask, [0, 1, 0])
-
-    def test_plan_built_with_the_query(self):
-        q = query_for(constant_model(0))
-        assert q.plan == plan_test(0.01, BUDGET)
-        q = query_for(constant_model(0), epsilon=0.2, epsilon_prime=0.1)
-        assert q.plan == plan_test(0.2, BUDGET, 0.1)
-        assert replace(q, epsilon=0.01, epsilon_prime=None).plan == plan_test(0.01, BUDGET)
 
     def test_at_radius_shares_all_but_ball_and_seed(self):
         q = query_for(constant_model(0, num_labels=3), omega=(0, 2), clamp=(-1.0, 1.0))
         probe = q.at_radius(0.25, 99)
-        assert (probe.radius, probe.seed) == (0.25, 99)
-        assert (q.radius, q.seed, q.ball.radius) == (0.5, 7, 0.5)
+        assert (probe.ball.radius, probe.seed) == (0.25, 99)
+        assert (q.seed, q.ball.radius) == (7, 0.5)
         assert (probe.ball.radius, probe.ball.norm, probe.ball.clamp) == (0.25, "inf", (-1.0, 1.0))
         assert probe.ball.center is q.ball.center  # not checked or copied again
-        for name in ("plan", "mask", "center", "omega", "model", "budget"):
+        for name in ("plan", "mask", "omega", "model", "batch_size"):
             assert getattr(probe, name) is getattr(q, name)
 
     @pytest.mark.parametrize("radius", [-0.1, math.inf, math.nan])
@@ -110,20 +109,14 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="radius must be finite"):
             query_for(constant_model(0)).at_radius(radius, 1)
 
-    @pytest.mark.parametrize("epsilon,epsilon_prime",
-                             [(0.0, None), (1.0, None), (math.nan, None), (0.1, 0.1)])
-    def test_bad_epsilon_raises_at_construction(self, epsilon, epsilon_prime):
-        with pytest.raises(ValueError):
-            query_for(constant_model(0), epsilon=epsilon, epsilon_prime=epsilon_prime)
-
     @pytest.mark.parametrize("omega", [(), (0, 2), (-1,)])
     def test_omega_error_matches_indicative(self, omega):
         model = constant_model(0)
         with pytest.raises(ValueError) as from_query:
             query_for(model, omega=omega)
-        with pytest.raises(ValueError) as from_indicative:
-            point_check(model, np.zeros(3), omega)
-        assert str(from_query.value) == str(from_indicative.value)
+        with pytest.raises(ValueError) as from_mask:
+            label_mask(model, omega)
+        assert str(from_query.value) == str(from_mask.value)
 
 
 class TestDecideWithSource:
@@ -266,7 +259,7 @@ class TestDecide:
         assert verdict.decision == UNSAT
 
     def test_deterministic(self):
-        q = query_for(constant_model(0), epsilon=0.2, epsilon_prime=0.1)
+        q = query_for(constant_model(0), plan=plan_test(0.2, BUDGET, 0.1))
         a, b = decide(q), decide(q)
         assert (a.decision, a.successes, a.samples_drawn) == \
                (b.decision, b.successes, b.samples_drawn)
@@ -278,14 +271,9 @@ class TestDecide:
         center = rng.normal(size=4)
         label = int(np.argmax(model.layers[-1].bias))  # arbitrary valid label
         for seed in range(5):
-            q_small = RobustnessQuery(model=model, center=center, radius=1.0,
-                                      norm="2", epsilon=0.2, omega=frozenset({label}),
-                                      budget=ErrorBudget(0.05, 0.05), seed=seed,
-                                      epsilon_prime=0.1)
-            q_big = RobustnessQuery(model=model, center=center, radius=1.0,
-                                    norm="2", epsilon=0.2, omega=frozenset({0, 1, 2}),
-                                    budget=ErrorBudget(0.05, 0.05), seed=seed,
-                                    epsilon_prime=0.1)
+            q_small = query_for(model, center=center, radius=1.0, norm="2", omega={label},
+                                plan=SMALL_PLAN, seed=seed)
+            q_big = replace(q_small, omega={0, 1, 2})
             big = decide(q_big)
             assert big.decision == SAT  # omega = all labels always accepts
             small = decide(q_small)
@@ -296,9 +284,8 @@ class TestDecide:
         # p_r = 0.9 > c ~ 0.8025 -> SAT; p_r = 0.6 < c -> UNSAT (at eps=0.2)
         model = threshold_classifier(1, 0, 0.0)
         for center, expect in [(-0.8, SAT), (-0.2, UNSAT)]:
-            q = RobustnessQuery(model=model, center=np.array([center]), radius=1.0,
-                                norm="inf", epsilon=0.2, omega=frozenset({0}),
-                                budget=BUDGET, seed=5)
+            q = query_for(model, center=np.array([center]), radius=1.0,
+                          plan=plan_test(0.2, BUDGET), seed=5)
             assert decide(q).decision == expect
 
     def test_model_source_matches_manual_pipeline(self):
@@ -314,19 +301,28 @@ class TestDecide:
         # label 0 iff x0 <= 0.5: about half of the box [-0.1, 0.9]^2 is
         # wrong, none of it once every coordinate is clipped to <= 0.5
         model = threshold_classifier(2, 0, 0.5)
-        q = RobustnessQuery(model=model, center=np.full(2, 0.4), radius=0.5, norm="inf",
-                            epsilon=0.01, omega=frozenset({0}), budget=BUDGET, seed=3)
+        q = query_for(model, center=np.full(2, 0.4), seed=3)
         assert decide(q).decision == UNSAT
-        assert decide(replace(q, clamp=(-1.0, 0.5))).decision == SAT
+        clamped = BallSpec(q.ball.center, 0.5, "inf", (-1.0, 0.5))
+        assert decide(replace(q, ball=clamped)).decision == SAT
 
 
 class TestPointCheck:
     def test_accepts_and_rejects(self):
         model = constant_model(1, num_labels=3)
-        x = np.zeros(3)
-        assert point_check(model, x, {1})
-        assert point_check(model, x, {0, 1})
-        assert not point_check(model, x, {0, 2})
+        assert point_check(query_for(model, omega={1}))
+        assert point_check(query_for(model, omega={0, 1}))
+        assert not point_check(query_for(model, omega={0, 2}))
+
+    def test_checks_the_center_with_the_query_mask(self, monkeypatch):
+        # label 0 iff x0 <= 0.5: the center 0.4 is accepted whatever the radius
+        q = query_for(threshold_classifier(1, 0, 0.5), center=np.array([0.4]), radius=9.0)
+        moved = replace(q, ball=BallSpec(np.array([0.6]), 0.0, "inf"))
+        calls = []
+        monkeypatch.setattr(decision, "label_mask", lambda *a: calls.append(a))
+        monkeypatch.setattr(nn, "label_mask", lambda *a: calls.append(a))
+        assert point_check(q) and not point_check(moved)
+        assert calls == []
 
 
 def stub_oracle(r_true: float):
@@ -405,11 +401,8 @@ class TestEvaluate:
     def test_threshold_model_end_to_end(self):
         # label flips at x0 = 0.5; at eps=0.2 the certified radius solves
         # p_r = 0.5 + 0.5/(2r) = c, i.e. r* = 0.25/(c - 0.5)
-        model = threshold_classifier(1, 0, 0.5)
-        q = RobustnessQuery(model=model, center=np.array([0.0]), radius=0.0,
-                            norm="inf", epsilon=0.2, omega=frozenset({0}),
-                            budget=BUDGET, seed=20)
         plan = plan_test(0.2, BUDGET)
+        q = query_for(threshold_classifier(1, 0, 0.5), radius=0.0, plan=plan, seed=20)
         r_expected = 0.25 / (plan.c - 0.5)
         res = evaluate(q, radius_max=4.0, precision=0.01)
         assert res.r_star == pytest.approx(r_expected, abs=0.05)
@@ -437,37 +430,28 @@ class TestEvaluate:
     def test_probe_seeds_follow_probe_index(self, monkeypatch):
         real, seeds = decision.decide, []
         monkeypatch.setattr(decision, "decide", lambda q: seeds.append(q.seed) or real(q))
-        q = RobustnessQuery(model=threshold_classifier(1, 0, 0.5), center=np.array([0.0]),
-                            radius=0.0, norm="inf", epsilon=0.2, omega=frozenset({0}),
-                            budget=ErrorBudget(0.05, 0.05), seed=20, epsilon_prime=0.1)
+        q = query_for(threshold_classifier(1, 0, 0.5), radius=0.0, plan=SMALL_PLAN, seed=20)
         for _ in range(2):  # a second run restarts at probe 0
             seeds.clear()
             res = evaluate(q, radius_max=4.0, precision=0.5)
             assert seeds == [derive_subseed(20, k) for k in range(len(res.probes))]
 
     def test_probes_reuse_the_plan_and_mask(self, monkeypatch):
-        q = RobustnessQuery(model=threshold_classifier(1, 0, 0.5), center=np.array([0.0]),
-                            radius=0.0, norm="inf", epsilon=0.2, omega=frozenset({0}),
-                            budget=ErrorBudget(0.05, 0.05), seed=20, epsilon_prime=0.1)
+        q = query_for(threshold_classifier(1, 0, 0.5), radius=0.0, plan=SMALL_PLAN, seed=20)
         calls = []
-        for name in ("plan_test", "label_mask"):
-            real = getattr(decision, name)
-            monkeypatch.setattr(decision, name,
-                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for module, name in ((stats, "plan_test"), (decision, "label_mask"), (nn, "label_mask")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         probes = []
         real_decide = decision.decide
         monkeypatch.setattr(decision, "decide", lambda p: probes.append(p) or real_decide(p))
         res = evaluate(q, radius_max=4.0, precision=0.5)
-        assert calls == ["label_mask"]  # the center check only
+        assert calls == []  # the center check too uses the query's mask
         assert len(probes) == len(res.probes) > 1
         assert all(p.plan is q.plan and p.mask is q.mask for p in probes)
-        assert [p.radius for p in probes] == [r for r, _ in res.probes]
+        assert [p.ball.radius for p in probes] == [r for r, _ in res.probes]
 
     def test_deterministic(self):
-        model = threshold_classifier(1, 0, 0.5)
-        q = RobustnessQuery(model=model, center=np.array([0.0]), radius=0.0,
-                            norm="inf", epsilon=0.2, omega=frozenset({0}),
-                            budget=ErrorBudget(0.05, 0.05), seed=20, epsilon_prime=0.1)
+        q = query_for(threshold_classifier(1, 0, 0.5), radius=0.0, plan=SMALL_PLAN, seed=20)
         a = evaluate(q, radius_max=4.0, precision=0.05)
         b = evaluate(q, radius_max=4.0, precision=0.05)
         assert a.r_star == b.r_star

@@ -12,21 +12,24 @@ exact, so the forward bits do not depend on the BLAS build, its kernels or
 its thread count.  The forward hashes were re-recorded once, when dense
 moved from a fixed-order column loop to that split product.
 
-To re-record after a deliberate, documented change, print ``golden_hashes()``
-or ``golden_probes()``.
+To re-record after a deliberate, documented change, print ``golden_hashes()``,
+``golden_probes()`` or ``golden_sweeps()``.
 """
 
 import hashlib
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
+from ewrobust.cli import main
 from ewrobust.decision import RobustnessQuery, evaluate
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, NetworkModel, Normalize,
-                         Relu, forward)
+                         Relu, dump_model, forward)
 from ewrobust.prng import derive_subseed, uniforms
 from ewrobust.sampling import NORMS, BallSpec, sample_batch
-from ewrobust.stats import ErrorBudget
+from ewrobust.stats import ErrorBudget, plan_test
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -88,6 +91,30 @@ GOLDEN_PROBES = {
     ("2", (0.0, 1.0)): "9bed668ccda3c7effc2924517c9b69bf",
     ("inf", None): "93d229159839abe07458514e40b7d954",
     ("inf", (0.0, 1.0)): "8c185dee600b7cff81f28461ec43094a",
+}
+
+# report -> first 32 hex digits of the SHA-256 of the whole report file,
+# metadata lines included, of a real curve or radii run on the toy CNN at the
+# toy demo's statistics (N = 36) and --batch 16.  The centers are rows of
+# 1,024 candidates drawn as _probes' are.  The first three succeed with
+# probability about 0.78-0.90 at radius 0.05 and the next six at 0.2, so
+# P(SAT) is about 0.2-0.85 there and the verdicts depend on each probe's
+# seed.  The first is predicted 9, so --omega 3,5 rejects it.  The last has
+# gold label 3 where the model predicts 5, so radii flags it and
+# --correct-only drops it.
+# Recorded before each point's query was built once per sweep.
+GOLDEN_SWEEPS = {
+    "curve": "685c9e63cb5dc821f83f92fbcbdd795a",
+    "curve-omega-correct-only": "28b4a5babf1022f7a4018903584f125a",
+    "radii": "380e1562e6cde9cb5a458d079882272c",
+}
+SWEEP_ROWS = (108, 435, 984, 406, 502, 750, 808, 222, 581, 56)
+SWEEP_LABELS = (9, 5, 5, 5, 5, 5, 5, 5, 5, 3)
+SWEEP_ARGV = {
+    "curve": ["curve", "--radius", "0,0.05,0.2"],
+    "curve-omega-correct-only": ["curve", "--radius", "0,0.05,0.2", "--omega", "3,5",
+                                 "--correct-only"],
+    "radii": ["radii", "--radius-max", "1", "--precision", "0.05"],
 }
 
 
@@ -162,12 +189,28 @@ def _probes(norm: str, clamp) -> str:
     # row 50 of these candidates has the smallest logit margin (0.26), so
     # the probes give both verdicts on every norm
     center = 0.5 + 0.5 * _values(65, (64, 64))[50]
-    query = RobustnessQuery(_toy(), center, 0.0, norm, 0.2, {9}, ErrorBudget(0.05, 0.05),
-                            2025, batch_size=16, epsilon_prime=0.1, clamp=clamp)
+    query = RobustnessQuery(_toy(), BallSpec(center, 0.0, norm, clamp), {9},
+                            plan_test(0.2, ErrorBudget(0.05, 0.05), 0.1), 2025, batch_size=16)
     result = evaluate(query, 1.0, 0.01)
     lines = [f"{r.hex()} {v.decision} {v.successes} {v.samples_drawn}"
              for r, v in result.probes] + [result.r_star.hex()]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32]
+
+
+def _sweep(report: str, workdir: pathlib.Path) -> str:
+    centers = (0.5 + 0.5 * _values(65, (1024, 64)))[list(SWEEP_ROWS)]
+    (workdir / "toy.json").write_text(dump_model(_toy()))
+    (workdir / "inputs.csv").write_text(
+        "".join(",".join(repr(float(v)) for v in row) + "\n" for row in centers))
+    (workdir / "labels.txt").write_text("".join(f"{l}\n" for l in SWEEP_LABELS))
+    out = workdir / f"{report}.csv"
+    assert main([*SWEEP_ARGV[report], "--model", str(workdir / "toy.json"),
+                 "--dataset", str(workdir / "inputs.csv"),
+                 "--labels", str(workdir / "labels.txt"), "--shape", "1,8,8",
+                 "--eps", "0.2", "--eps-prime", "0.1", "--alpha", "0.05",
+                 "--beta", "0.05", "--batch", "16", "--seed", "2025",
+                 "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()[:32]
 
 
 def golden_hashes() -> dict:
@@ -176,6 +219,11 @@ def golden_hashes() -> dict:
 
 def golden_probes() -> dict:
     return {key: _probes(*key) for key in GOLDEN_PROBES}
+
+
+def golden_sweeps() -> dict:
+    with tempfile.TemporaryDirectory() as workdir:
+        return {report: _sweep(report, pathlib.Path(workdir)) for report in GOLDEN_SWEEPS}
 
 
 @pytest.mark.parametrize("case,size", CASES)
@@ -192,3 +240,8 @@ def test_golden_subseed(seed, k):
 @pytest.mark.parametrize("norm,clamp", list(GOLDEN_PROBES))
 def test_golden_probes(norm, clamp):
     assert _probes(norm, clamp) == GOLDEN_PROBES[norm, clamp]
+
+
+@pytest.mark.parametrize("report", list(GOLDEN_SWEEPS))
+def test_golden_sweep_report(report, tmp_path):
+    assert _sweep(report, tmp_path) == GOLDEN_SWEEPS[report]

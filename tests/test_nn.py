@@ -807,11 +807,12 @@ def _twice_the_bound(model, batch) -> Fraction:
     module docstring.  From d = 0, per dense or 1x1 conv of k terms per
     output, M the batch's max|input|, |W|_1 its largest sum of |w| over an
     output and S = max|b| + |W|_1 (M + d), after d += u' M for the cast to
-    float32 at the first conv and d += 2**-126 at every conv,
+    float32 at the first conv, d += 2**-126 at every conv and d += 2**-1022
+    at every dense,
 
         d <- |W|_1 d + c S + under (1 + M),
 
-    with c = (k + 121) 2**-52 + 32 k 2**(-3 bits) and under = (k + 8) 2**-1022
+    with c = (k + 121) 2**-52 + 32 k 2**(-3 bits) and under = (3 k + 8) 2**-1022
     for a dense, c = ((k + 2) 2**-24 + (k + 1) 2**-53) / (1 - (k + 1) 2**-24)
     and under = (k + 1) 2**-124 for a conv.  Every value of these models is
     exact, so the fast values are forward's."""
@@ -827,7 +828,7 @@ def _twice_the_bound(model, batch) -> Fraction:
         k = len(weight[0])
         if layer.kind == "dense":
             c = Fraction(k + 121, 2 ** 52) + Fraction(32 * k, 2 ** (3 * nn._slice_bits(k)))
-            under = Fraction(k + 8, 2 ** 1022)
+            under = Fraction(3 * k + 8, 2 ** 1022)
         else:
             c = (Fraction(k + 2, 2 ** 24) + Fraction(k + 1, 2 ** 53)) / (1 - Fraction(k + 1, 2 ** 24))
             under = Fraction(k + 1, 2 ** 124)
@@ -835,6 +836,8 @@ def _twice_the_bound(model, batch) -> Fraction:
         if layer.kind == "conv2d":
             d += (0 if float32 else big / 2 ** 24) + Fraction(1, 2 ** 126)
             float32 = True
+        else:
+            d += Fraction(1, 2 ** 1022)
         wsum = max(sum(abs(v) for v in w) for w in weight)
         s = max(abs(b) for b in bias) + wsum * (big + d)
         d = wsum * d + c * s + under * (1 + big)

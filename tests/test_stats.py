@@ -85,8 +85,9 @@ class TestPlanTest:
 
     def test_invalid_inputs(self):
         budget = ErrorBudget(0.01, 0.01)
-        with pytest.raises(ValueError):
-            plan_test(0.0, budget)
+        for epsilon in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                plan_test(epsilon, budget)
         with pytest.raises(ValueError):
             plan_test(0.1, budget, epsilon_prime=0.1)
         with pytest.raises(ValueError):

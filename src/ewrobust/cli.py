@@ -5,9 +5,11 @@ point), curve (fraction-SAT over a radius grid), radii (per-point max radii
 with class summaries), gadget (CNF to model file), sample (raw sampler dump).
 
 Exit codes: 0 success, 2 usage error, 3 runtime error.  Every flag value is
-checked before any work: by its argparse type, else before the first file is
-opened, except the checks that need a file (omega against the model's labels,
---index against the dataset), which run when it is loaded.
+checked before any work: argparse checks each value by its type as it parses
+(and takes no prefix of a flag for the flag), and the checks that span flags
+follow before the first file is opened.  Only the checks that need a file
+(omega against the model's labels, --index against the dataset) run when it
+is loaded.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # also each subparser: a flag's prefix is no flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -55,72 +60,35 @@ def _checked(convert, ok, what):
     return parse
 
 
+def _split(convert, sep=","):
+    return lambda text: tuple(convert(v) for v in text.split(sep))
+
+
 _INDEX = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
 _COUNT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _RADIUS = _checked(float, lambda v: 0 <= v < math.inf, "a finite non-negative number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_SHAPE = _checked(_split(int), lambda s: min(s) > 0, "positive integers like 3,32,32")
+_OMEGA = _checked(lambda text: frozenset(_split(int)(text)), lambda v: True,
+                  "integer labels like 1,9")
+_CLAMP = _checked(_split(float), lambda b: len(b) == 2 and b[0] < b[1], "lo,hi with lo < hi")
+_RADII = _checked(_split(float), lambda rs: all(0 <= r < math.inf for r in rs),
+                  "finite non-negative radii like 0.1,0.2")
+_GRID_BOUNDS = _checked(_split(float, ":"), lambda g: len(g) == 3 and 0 <= g[0] and 0 < g[2]
+                        and math.isfinite((g[1] - g[0]) / g[2]),
+                        "finite lo:hi:step with lo >= 0 and step > 0")
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        shape = tuple(int(d) for d in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad --shape {text!r}") from None
-    if not shape or any(d <= 0 for d in shape):
-        raise UsageError(f"bad --shape {text!r}")
-    return shape
-
-
-def _parse_omega(text: str) -> frozenset[int]:
-    try:
-        omega = frozenset(int(l) for l in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad --omega {text!r}") from None
-    if not omega:
-        raise UsageError("--omega must list at least one label")
-    return omega
-
-
-def _parse_clamp(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad --clamp {text!r}") from None
-    if not lo < hi:
-        raise UsageError(f"--clamp lower bound must be below upper, got {text!r}")
-    return lo, hi
-
-
-def _parse_grid(args) -> list[float]:
-    if args.radius_grid is not None:
-        try:
-            lo, hi, step = (float(v) for v in args.radius_grid.split(":"))
-        except ValueError:
-            raise UsageError(f"bad --radius-grid {args.radius_grid!r}") from None
-        span = (hi - lo) / step if step > 0 else math.nan
-        if not math.isfinite(span):
-            raise UsageError(f"--radius-grid needs finite lo:hi:step with step > 0, "
-                             f"got {args.radius_grid!r}")
-        count = math.floor(span + 1e-9) + 1
-        if count < 1:
-            raise UsageError(f"--radius-grid {args.radius_grid!r} has hi below lo")
-        if count > MAX_GRID_RADII:
-            raise UsageError(f"--radius-grid {args.radius_grid!r} has {count} radii, "
-                             f"more than {MAX_GRID_RADII}")
-        grid = [lo + k * step for k in range(count)]
-    elif args.radius is not None:
-        try:
-            grid = [float(v) for v in str(args.radius).split(",")]
-        except ValueError:
-            raise UsageError(f"bad --radius {args.radius!r}") from None
-    else:
-        grid = []
-    if not grid:
-        raise UsageError("no radii given (use --radius or --radius-grid)")
-    if not all(0 <= r < math.inf for r in grid):
-        raise UsageError("radii must be finite and non-negative")
-    return grid
+def _grid(text: str) -> list[float]:
+    """argparse type of --radius-grid: the inclusive grid lo:hi:step."""
+    lo, hi, step = _GRID_BOUNDS(text)
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} has hi below lo")
+    if count > MAX_GRID_RADII:
+        raise argparse.ArgumentTypeError(f"{text!r} has {count} radii, more than {MAX_GRID_RADII}")
+    return [lo + k * step for k in range(count)]
 
 
 def _load_model_file(path: str):
@@ -128,26 +96,21 @@ def _load_model_file(path: str):
         return load_model(fh.read())
 
 
-def _checked_flags(args):
-    """The --shape, --omega and --clamp syntax and the statistics flags,
-    checked before the first file is opened.  Returns (shape, omega, clamp,
-    plan): the run's one test plan, and the others None when not given."""
-    shape = _parse_shape(args.shape) if args.shape is not None else None
-    omega = _parse_omega(args.omega) if args.omega is not None else None
-    clamp = _parse_clamp(args.clamp) if args.clamp else None
+def _checked_plan(args):
+    """The run's one test plan, from the statistics flags, checked before
+    the first file is opened."""
     try:
-        plan = plan_test(args.eps, ErrorBudget(args.alpha, args.beta), args.eps_prime)
+        return plan_test(args.eps, ErrorBudget(args.alpha, args.beta), args.eps_prime)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return shape, omega, clamp, plan
 
 
-def _query(args, model, plan, clamp, center, omega, seed, radius=0.0):
+def _query(args, model, plan, center, omega, seed, radius=0.0):
     """The run's query at one center: its plan, --norm, --clamp and --batch
     are the run's.  An omega the model's labels do not hold is a usage
     error."""
     try:
-        ball = sampling.BallSpec(center, radius, args.norm, clamp)
+        ball = sampling.BallSpec(center, radius, args.norm, args.clamp)
         return RobustnessQuery(model, ball, omega, plan, seed, args.batch)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -157,14 +120,16 @@ def _load_point(args, radius=0.0):
     """Query of decide/evaluate and the center's gold label (None when no
     labels are in play).  Omega defaults to the gold label, else the model's
     own prediction at the center."""
-    if args.input is None:
-        if args.dataset is None:
-            raise UsageError("give a center via --input or --dataset with --index")
-        if args.index is None:
-            raise UsageError("--dataset needs --index to pick a point")
-    shape, omega, clamp, plan = _checked_flags(args)
+    if args.input is not None:
+        if any(v is not None for v in (args.dataset, args.index, args.labels)):
+            raise UsageError("--input excludes --dataset, --index and --labels")
+    elif args.dataset is None:
+        raise UsageError("give a center via --input or --dataset with --index")
+    elif args.index is None:
+        raise UsageError("--dataset needs --index to pick a point")
+    plan = _checked_plan(args)
     model = _load_model_file(args.model)
-    shape = shape or model.input_shape
+    shape = args.shape or model.input_shape
     gold = None
     if args.input is not None:
         center = load_inputs(args.input, shape)[0]
@@ -175,31 +140,31 @@ def _load_point(args, radius=0.0):
         center = inputs[args.index]
         if args.labels is not None:
             gold = int(load_labels(args.labels, len(inputs), model.num_labels)[args.index])
-    if omega is None:
-        label = gold if gold is not None else int(predict(model, center[None])[0])
-        omega = frozenset({label})
-    return _query(args, model, plan, clamp, center, omega, args.seed, radius), gold
+    omega = args.omega or {gold if gold is not None else int(predict(model, center[None])[0])}
+    return _query(args, model, plan, center, omega, args.seed, radius), gold
 
 
 def _load_sweep(args, seed_of):
     """Model and dataset of curve/radii, and each dataset point's query: its
     omega is --omega, else the point's gold label, and its seed
     seed_of(point index)."""
-    if args.dataset is None or args.labels is None or args.shape is None:
-        raise UsageError(f"{args.command} needs --dataset, --labels and --shape")
-    shape, omega, clamp, plan = _checked_flags(args)
+    plan = _checked_plan(args)
     model = _load_model_file(args.model)
-    dataset = load_dataset(args.dataset, args.labels, shape, model.num_labels)
-    queries = [_query(args, model, plan, clamp, center, omega or {int(gold)}, seed_of(pid))
+    dataset = load_dataset(args.dataset, args.labels, args.shape, model.num_labels)
+    queries = [_query(args, model, plan, center, args.omega or {int(gold)}, seed_of(pid))
                for pid, (center, gold) in enumerate(zip(dataset.inputs, dataset.labels))]
     return model, dataset, queries
+
+
+def _clamp_text(args) -> str:
+    return ",".join(fmt(v) for v in args.clamp) if args.clamp else "off"
 
 
 def _run_metadata(args, plan=None) -> list[str]:
     md = [f"ewrobust {__version__}",
           f"seed={args.seed} norm={args.norm} eps={args.eps} "
           f"eps_prime={args.eps_prime} alpha={args.alpha} beta={args.beta}",
-          f"clamp={args.clamp or 'off'} batch={args.batch}"]
+          f"clamp={_clamp_text(args)} batch={args.batch}"]
     if plan is not None:
         md.append(f"plan: N={plan.N} c={fmt(plan.c)} eps_prime={fmt(plan.epsilon_prime)}")
     return md
@@ -250,7 +215,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    grid = _parse_grid(args)
+    grid = args.radius_grid or args.radius
+    if grid is None:
+        raise UsageError("no radii given (use --radius or --radius-grid)")
     # each radius draws from its own sub-seeds, so the queries' seed is unused
     model, dataset, queries = _load_sweep(args, lambda pid: args.seed)
 
@@ -323,23 +290,21 @@ def cmd_gadget(args) -> int:
 def cmd_sample(args) -> int:
     if args.start + args.count > 2**64:
         raise UsageError("sample indices --start .. --start+--count-1 must stay below 2**64")
-    shape = _parse_shape(args.shape)
-    clamp = _parse_clamp(args.clamp) if args.clamp else None
-    n = math.prod(shape)
+    n = math.prod(args.shape)
     if args.input is not None:
-        center = load_inputs(args.input, shape)[0].ravel()
+        center = load_inputs(args.input, args.shape)[0].ravel()
     else:
         center = np.zeros(n)
     header = ["index"] + [f"x{j}" for j in range(n)]
     rows = []
     if args.count > 0:
-        spec = sampling.BallSpec(center, args.radius, args.norm, clamp)
+        spec = sampling.BallSpec(center, args.radius, args.norm, args.clamp)
         batch = sampling.sample_batch(spec, args.seed, args.start, args.count)
         rows = [[i + args.start] + [float(v) for v in row]
                 for i, row in enumerate(batch)]
     metadata = [f"ewrobust {__version__}",
                 f"seed={args.seed} norm={args.norm} radius={args.radius} "
-                f"clamp={args.clamp or 'off'}"]
+                f"clamp={_clamp_text(args)}"]
     write_report(args.out or sys.stdout, metadata, header, rows)
     return 0
 
@@ -350,13 +315,14 @@ def _add_common(sub, *, sweep=False):
     """Flags of decide and evaluate (one point), or of curve and radii (a
     sweep over a dataset)."""
     sub.add_argument("--model", required=True, help="model file (JSON)")
-    sub.add_argument("--dataset", help="inputs CSV, one flattened tensor per row")
-    sub.add_argument("--labels", help="gold labels, one integer per line")
-    sub.add_argument("--shape", help="tensor shape, e.g. 3,32,32")
-    sub.add_argument("--omega", help="allowed labels, e.g. 1,9 (default: gold or predicted)")
+    sub.add_argument("--dataset", required=sweep, help="inputs CSV, one flattened tensor per row")
+    sub.add_argument("--labels", required=sweep, help="gold labels, one integer per line")
+    sub.add_argument("--shape", type=_SHAPE, required=sweep, help="tensor shape, e.g. 3,32,32")
+    sub.add_argument("--omega", type=_OMEGA,
+                     help="allowed labels, e.g. 1,9 (default: gold or predicted)")
     sub.add_argument("--norm", default="inf", choices=sampling.NORMS, help="ball norm")
     sub.add_argument("--seed", type=_INDEX, default=0, help="64-bit stream seed")
-    sub.add_argument("--clamp", help="clip samples into lo,hi (changes the measure)")
+    sub.add_argument("--clamp", type=_CLAMP, help="clip samples into lo,hi (changes the measure)")
     sub.add_argument("--out", help="CSV output path (default: stdout where applicable)")
     sub.add_argument("--eps", type=float, required=True,
                      help="tolerated wrong-classification fraction in (0,1)")
@@ -374,7 +340,7 @@ def _add_common(sub, *, sweep=False):
                               "tiles and the BLAS use every usable CPU")
     else:
         sub.add_argument("--input", help="single-point CSV (first row used)")
-        sub.add_argument("--index", type=int, help="row index into --dataset")
+        sub.add_argument("--index", type=_COUNT, help="row index into --dataset")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("curve", help="fraction-SAT over a radius grid")
     _add_common(p, sweep=True)
-    p.add_argument("--radius", help="comma-separated radius list")
-    p.add_argument("--radius-grid", help="min:max:step inclusive grid")
+    p.add_argument("--radius", type=_RADII, help="comma-separated radius list")
+    p.add_argument("--radius-grid", type=_grid, help="min:max:step inclusive grid")
     p.add_argument("--correct-only", action="store_true",
                    help="restrict to points the model classifies correctly")
     p.set_defaults(func=cmd_curve)
@@ -423,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_COUNT, required=True)
     p.add_argument("--seed", type=_INDEX, default=0)
     p.add_argument("--start", type=_INDEX, default=0, help="first sample index")
-    p.add_argument("--shape", required=True, help="tensor shape, e.g. 784 or 3,32,32")
+    p.add_argument("--shape", type=_SHAPE, required=True, help="tensor shape, e.g. 784 or 3,32,32")
     p.add_argument("--input", help="center point CSV (default: origin)")
-    p.add_argument("--clamp", help="clip samples into lo,hi")
+    p.add_argument("--clamp", type=_CLAMP, help="clip samples into lo,hi")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_sample)
     return parser

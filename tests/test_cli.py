@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_conv_model
-from ewrobust import cli, decision, nn, stats
+from ewrobust import cli, decision, nn, sampling, stats
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
@@ -195,6 +195,26 @@ class TestDecide:
               "--radius", "0.2", "--eps", "0.2", "--eps-prime", "0.1",
               "--alpha", "0.05", "--beta", "0.05", "--timings", "--out", str(out)])
         assert "wall_time_s" in body_lines(out)[0]
+
+    # in [0, 1], a quarter of the samples have x0 > 0.5; in [0, 0.4], none
+    @pytest.mark.parametrize("clamp,bounds,expect", [
+        ("0,1", (0.0, 1.0), UNSAT), ("0,0.4", (0.0, 0.4), SAT)], ids=["0,1", "0,0.4"])
+    def test_clamp_matches_library(self, threshold_model_file, center_file, tmp_path,
+                                   clamp, bounds, expect):
+        out = tmp_path / "decide.csv"
+        rc = main(["decide", "--model", threshold_model_file, "--input", center_file,
+                   "--radius", "1", "--eps", "0.2", "--eps-prime", "0.1", "--alpha", "0.05",
+                   "--beta", "0.05", "--seed", "3", "--clamp", clamp, "--out", str(out)])
+        assert rc == 0
+        with open(threshold_model_file, encoding="utf-8") as fh:
+            model = load_model(fh.read())
+        plan = stats.plan_test(0.2, stats.ErrorBudget(0.05, 0.05), 0.1)
+        ball = sampling.BallSpec(np.zeros(2), 1.0, "inf", bounds)
+        want = decision.decide(decision.RobustnessQuery(model, ball, {0}, plan, 3))
+        assert want.decision == expect
+        row = body_lines(out)[1].rstrip("\n").split(",")
+        assert row[3:] == [want.decision, str(want.successes), str(want.samples_drawn)]
+        assert f"# clamp={bounds[0]!r},{bounds[1]!r} batch=256\n" in out.read_text()
 
 
 class TestEvaluate:
@@ -426,6 +446,17 @@ class TestSample:
         want = sample_batch(BallSpec(np.zeros(2), 2.0, "inf"), 9, 100, 5)
         got = np.array([[float(v) for v in row[1:]] for row in rows])
         assert np.array_equal(got, want)  # repr round-trips exactly
+
+    def test_clamp_matches_library(self, tmp_path):
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--norm", "2", "--radius", "1", "--count", "8", "--shape", "3",
+                   "--seed", "4", "--clamp=-0.5,0.25", "--out", str(out)])
+        assert rc == 0
+        want = sampling.sample_batch(sampling.BallSpec(np.zeros(3), 1.0, "2", (-0.5, 0.25)),
+                                     4, 0, 8)
+        got = np.array([[float(v) for v in l.split(",")[1:]] for l in body_lines(out)[1:]])
+        assert np.array_equal(got, want) and (got == 0.25).any()  # some rows were clipped
+        assert "# seed=4 norm=2 radius=1.0 clamp=-0.5,0.25\n" in out.read_text()
 
     def test_count_zero_header_only(self, tmp_path):
         out = tmp_path / "s.csv"

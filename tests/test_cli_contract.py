@@ -134,6 +134,14 @@ def base(f, command):
     }[command]
 
 
+def changed(files, flags, change):
+    """flags with the flag, value pairs of change set: a value may name a
+    file of files, or be DROP."""
+    for flag, value in zip(change[::2], change[1::2]):
+        flags[flag] = files.get(value, value) if isinstance(value, str) else value
+    return flags
+
+
 def to_argv(command, flags):
     argv = [command]
     for flag, value in flags.items():
@@ -194,11 +202,14 @@ USAGE_ERRORS = {
     "curve omega outside the model": ["curve", "--omega", "0,5"],
     "radii omega outside the model": ["radii", "--omega", "5"],
     "clamp nan": ["decide", "--clamp", "nan,1"],
+    "clamp empty": ["decide", "--clamp", ""],  # once read as no clamp
+    "index -1": ["decide", "--input", DROP, "--dataset", "inputs", "--index", "-1"],
     "precision 0": ["evaluate", "--precision", "0"],
     "radius-max nan": ["evaluate", "--radius-max", "nan"],
     "grid 0:inf:1": ["curve", "--radius-grid", "0:inf:1"],
     "grid 0:nan:1": ["curve", "--radius-grid", "0:nan:1"],
     "grid of 10**18 radii": ["curve", "--radius-grid", "0:1e9:1e-9"],
+    "grid below 0": ["curve", "--radius-grid", "-1:1:0.5"],
     "curve radius inf": ["curve", "--radius", "0.1,inf"],
     "workers 0": ["curve", "--workers", "0"],
     "radii workers 0": ["radii", "--workers", "0"],
@@ -210,7 +221,7 @@ USAGE_ERRORS = {
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
 def test_bad_value_is_usage_error(files, case, monkeypatch):
     command, *change = USAGE_ERRORS[case]
-    argv = to_argv(command, base(files, command)) + change  # the last value wins
+    argv = to_argv(command, changed(files, base(files, command), change))
     monkeypatch.setattr(sampling, "sample_batch", None)  # raised before any sampling
     rc, err = run(argv)
     assert rc == 2, (argv, err)
@@ -229,6 +240,12 @@ BEFORE_FILES = {
     "decide beta": ["decide", "--beta", "nan"],
     "decide no center": ["decide", "--input", DROP],
     "decide dataset without index": ["decide", "--input", DROP, "--dataset", "inputs"],
+    "decide index -1": ["decide", "--input", DROP, "--dataset", "inputs", "--index", "-1"],
+    # a center from --input once silently overrode these three
+    "decide input with dataset": ["decide", "--dataset", "inputs"],
+    "decide input with index": ["decide", "--index", "0"],
+    "decide input with labels": ["decide", "--labels", "labels"],
+    "evaluate input with dataset and index": ["evaluate", "--dataset", "inputs", "--index", "0"],
     "evaluate clamp": ["evaluate", "--clamp", "nan,1"],
     "evaluate omega": ["evaluate", "--omega", ""],
     "evaluate no center": ["evaluate", "--input", DROP],
@@ -254,9 +271,7 @@ def test_file_free_check_precedes_file_reads(files, case):
     flags = {**base(files, command), "--model": files["missing"]}
     if command == "sample":
         flags.pop("--model")
-    for flag, value in zip(change[::2], change[1::2]):
-        flags[flag] = files.get(value, value) if isinstance(value, str) else value
-    rc, err = run(to_argv(command, flags))
+    rc, err = run(to_argv(command, changed(files, flags, change)))
     assert rc == 2, (flags, err)
     assert err.startswith("usage error:") and "Traceback" not in err
 
@@ -282,6 +297,19 @@ def test_unread_flag_is_usage_error(files, command, flag):
     assert rc == 2 and f"unrecognized arguments: {flag}" in err, err
 
 
+@pytest.mark.parametrize("command,flag,prefix", [
+    ("decide", "--model", "--mod"), ("decide", "--input", "--inp"),
+    ("decide", "--radius", "--rad"), ("decide", "--out", "--ou"),
+    ("radii", "--shape", "--sh"), ("radii", "--radius-max", "--radius-m"),
+    ("radii", "--precision", "--prec"), ("radii", "--workers", "--w")])
+def test_flag_prefix_is_usage_error(files, command, flag, prefix):
+    # argparse takes an unambiguous prefix of a flag for the flag by default
+    flags = base(files, command)
+    value = flags.pop(flag)
+    rc, err = run(to_argv(command, flags) + [prefix, value])
+    assert rc == 2 and err.startswith("usage error:"), err
+
+
 @pytest.mark.parametrize("flag", ["--input", "--dataset", "--labels"])
 def test_empty_csv_says_no_rows(files, flag):
     command = "decide" if flag == "--input" else "curve"
@@ -299,7 +327,8 @@ def test_huge_grid_names_its_length(files):
 def test_descending_grid_says_hi_is_below_lo(files):
     # not "no radii given", which names flags the call did pass
     rc, err = run(to_argv("curve", base(files, "curve")) + ["--radius-grid", "1:0:0.1"])
-    assert (rc, err) == (2, "usage error: --radius-grid '1:0:0.1' has hi below lo\n"), err
+    assert (rc, err) == (2, "usage error: ewrobust curve: argument --radius-grid: "
+                            "'1:0:0.1' has hi below lo\n"), err
 
 
 def test_memory_error_without_message_says_out_of_memory(files, monkeypatch):

@@ -215,9 +215,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    grid = args.radius_grid or args.radius
-    if grid is None:
-        raise UsageError("no radii given (use --radius or --radius-grid)")
     # each radius draws from its own sub-seeds, so the queries' seed is unused
     model, dataset, queries = _load_sweep(args, lambda pid: args.seed)
 
@@ -232,7 +229,7 @@ def cmd_curve(args) -> int:
             raise UsageError("--correct-only left no dataset points")
 
     rows = []
-    for ri, radius in enumerate(grid):
+    for ri, radius in enumerate(args.grid):
         if radius == 0.0:
             n_sat = sum(point_check(queries[pi]) for pi in keep)
         else:
@@ -336,8 +333,8 @@ def _add_common(sub, *, sweep=False):
                      help="largest number of samples per batch")
     if sweep:
         sub.add_argument("--workers", type=_POSITIVE_INT,
-                         help="accepted and ignored: queries run in order, and conv "
-                              "tiles and the BLAS use every usable CPU")
+                         help="accepted and ignored: queries run in order on the "
+                              "calling thread, and only the BLAS runs threads")
     else:
         sub.add_argument("--input", help="single-point CSV (first row used)")
         sub.add_argument("--index", type=_COUNT, help="row index into --dataset")
@@ -366,8 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("curve", help="fraction-SAT over a radius grid")
     _add_common(p, sweep=True)
-    p.add_argument("--radius", type=_RADII, help="comma-separated radius list")
-    p.add_argument("--radius-grid", type=_grid, help="min:max:step inclusive grid")
+    radii = p.add_mutually_exclusive_group(required=True)
+    radii.add_argument("--radius", type=_RADII, dest="grid", metavar="RADIUS",
+                       help="comma-separated radius list")
+    radii.add_argument("--radius-grid", type=_grid, dest="grid", metavar="RADIUS_GRID",
+                       help="min:max:step inclusive grid")
     p.add_argument("--correct-only", action="store_true",
                    help="restrict to points the model classifies correctly")
     p.set_defaults(func=cmd_curve)
@@ -399,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed --help or --version
+            return exc.code
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

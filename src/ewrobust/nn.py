@@ -93,9 +93,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,56 +231,6 @@ class Relu:
 # at a time so the tile stays in cache
 _CONV_TILE_BYTES = 512 * 1024
 
-_tile_pool: ThreadPoolExecutor | None = None
-
-
-def _forget_tile_pool() -> None:
-    global _tile_pool
-    _tile_pool = None  # a forked child has none of the parent's workers
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_tile_pool)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, which taskset sets)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_tiles(run, tiles) -> None:
-    """run(tiles) on the caller and the workers of one process-wide pool,
-    created on first use with a worker per usable CPU but the caller's.  Each
-    takes the next tile from one shared iterator until none is left.  A single
-    tile, a single CPU or a caller other than the main thread (a tile worker,
-    or a thread of a library caller) runs every tile inline, so pools never
-    nest and only one thread ever creates the pool, which needs no lock."""
-    global _tile_pool
-    cpus = _usable_cpus()
-    helpers = min(len(tiles), cpus) - 1
-    if helpers < 1 or threading.current_thread() is not threading.main_thread():
-        run(tiles)
-        return
-    if _tile_pool is None:  # only the main thread gets here
-        _tile_pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="conv-tile")
-    errstate = np.geterr()  # thread-local: a worker starts from numpy's defaults
-    shared = iter(tiles)  # next() on a list iterator is atomic under the GIL
-
-    def helper():
-        with np.errstate(**errstate):
-            run(shared)
-
-    futures = [_tile_pool.submit(helper) for _ in range(helpers)]
-    try:
-        run(shared)
-    finally:
-        for future in futures:
-            future.result()
-
-
 @dataclass(frozen=True)
 class Conv2d:
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
@@ -373,7 +320,7 @@ class Conv2d:
         """Each output element is bias, then + x*w for (c, i, j) in
         lexicographic order, two roundings per step, as for any other batch
         size or tiling; tiles of output rows and channels whose accumulator
-        fits the cache budget run on the tile pool."""
+        fits the cache budget run one after another on the caller."""
         weight, bias = self.weight.transpose(1, 2, 3, 0), self.bias  # (ic, kh, kw, oc)
         ic, kh, kw, oc = weight.shape
         sh, sw = self.stride
@@ -382,10 +329,9 @@ class Conv2d:
         row_bytes = max(1, ow * n * weight.itemsize)  # an empty batch takes one tile
         rows = min(oh, max(1, _CONV_TILE_BYTES // row_bytes))
         block = min(oc, max(1, _CONV_TILE_BYTES // (rows * row_bytes)))
-
-        def run(tiles):  # disjoint tiles of out, one temporary per share
-            tmp = np.empty((block, rows, ow, n), weight.dtype)
-            for o, r in tiles:
+        tmp = np.empty((block, rows, ow, n), weight.dtype)
+        for o in range(0, oc, block):
+            for r in range(0, oh, rows):  # disjoint tiles of out
                 acc = out[o:o + block, r:r + rows]
                 prod = tmp[:acc.shape[0], :acc.shape[1]]
                 acc[...] = bias[o:o + block, None, None, None]
@@ -397,8 +343,6 @@ class Conv2d:
                             np.multiply(weight[c, i, j, o:o + block, None, None, None],
                                         slab, out=prod)
                             acc += prod
-
-        _run_tiles(run, [(o, r) for o in range(0, oc, block) for r in range(0, oh, rows)])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_conv_model
-from ewrobust import cli, decision, nn, sampling, stats
+from ewrobust import cli, decision, sampling, stats
 from ewrobust.cli import main
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
@@ -385,9 +385,8 @@ class TestSweepThreads:
     @pytest.mark.parametrize("command", ["curve", "radii"])
     def test_every_query_runs_on_main_thread(self, threshold_model_file, dataset_files,
                                              tmp_path, monkeypatch, command):
-        # eight usable CPUs and --workers 8: still one query at a time, in
-        # order, and one plan and one query per point for the whole sweep
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 8)
+        # --workers 8: still one query at a time, in order, and one plan and
+        # one query per point for the whole sweep
         threads, query = [], getattr(cli, self.QUERY[command])
 
         def recording(*args):

@@ -252,6 +252,8 @@ BEFORE_FILES = {
     "curve grid": ["curve", "--radius-grid", "a:b:c"],
     "curve radius list": ["curve", "--radius-list", "0.1,inf"],
     "curve no radius": ["curve", "--radius-list", DROP],
+    # --radius-grid once silently replaced --radius
+    "curve radius and grid": ["curve", "--radius-grid", "0:0.02:0.01"],
     "curve without labels": ["curve", "--labels", DROP],
     "curve shape": ["curve", "--shape", "0"],
     "curve omega": ["curve", "--omega", "x"],
@@ -329,6 +331,18 @@ def test_descending_grid_says_hi_is_below_lo(files):
     rc, err = run(to_argv("curve", base(files, "curve")) + ["--radius-grid", "1:0:0.1"])
     assert (rc, err) == (2, "usage error: ewrobust curve: argument --radius-grid: "
                             "'1:0:0.1' has hi below lo\n"), err
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["--version"], "ewrobust 0.1.0\n"), (["decide", "--help"], "usage: ewrobust decide")],
+    ids=["version", "decide help"])
+def test_version_and_help_return_0(argv, printed):
+    # main returns the exit code, as for every other argv, and raises nothing
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assert rc == 0
+    assert out.getvalue().startswith(printed), out.getvalue()
 
 
 def test_memory_error_without_message_says_out_of_memory(files, monkeypatch):

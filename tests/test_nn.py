@@ -2,13 +2,9 @@ import dataclasses
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import threading
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +126,27 @@ for size in (1, 7, 31, 33, 72, 156):
     parts = np.vstack([forward(model, x[i:i + size]) for i in range(0, 300, size)])
     assert np.array_equal(parts, whole), size
 print(hashlib.sha256(whole.tobytes()).hexdigest())
+"""
+
+
+# forward of a conv 2->4 on 7 rows of 2 x 20 x 9 in tiles of 2000 bytes: prints
+# whether the set of live threads is the same after as before, and the bits
+# of the conv's output
+_CONV_THREADS = """
+import threading
+import numpy as np
+from ewrobust import nn
+rng = np.random.default_rng(11)
+conv = nn.Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (1, 1), (1, 1))
+x = rng.normal(size=(7, 2, 20, 9))
+model = nn.NetworkModel((2, 20, 9), 3, (conv, nn.Flatten(),
+                                         nn.Dense(rng.normal(size=(3, 720)), np.zeros(3))))
+seen, apply = [], nn.Conv2d.apply
+nn.Conv2d.apply = lambda layer, x: seen.append(apply(layer, x)) or seen[-1]
+nn._CONV_TILE_BYTES = 2000
+before = threading.enumerate()
+nn.forward(model, x)
+print("same" if threading.enumerate() == before else "changed", seen[0].tobytes().hex())
 """
 
 
@@ -403,63 +420,18 @@ class TestConvAndPoolSemantics:
         x = rng.normal(size=(7, 2, 11, 9))
         assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
 
-    @staticmethod
-    def _eager_pool(monkeypatch, cpus=2):
-        # the pool's worker drains the shared tile iterator before submit
-        # returns, so it computes every tile, under its own thread's errstate
-        class EagerPool(ThreadPoolExecutor):
-            submits = 0
-
-            def submit(self, fn, /, *args, **kwargs):
-                EagerPool.submits += 1
-                future = super().submit(fn, *args, **kwargs)
-                future.exception()  # waits for the share to finish
-                return future
-
-        pool = EagerPool(cpus - 1)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nn, "_tile_pool", pool)
-        return pool
-
-    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    def test_conv_tiles_on_pool_worker_bitwise_equal_inline(self, rng, monkeypatch, stride, pad):
-        # 2000 bytes: tiles of several output rows of one channel, the last
-        # partial at strides (1, 1) and (2, 1)
-        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
-        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
-        x = rng.normal(size=(7, 2, 11, 9))
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-        inline = layer.apply(x)
-        pool = self._eager_pool(monkeypatch)
-        try:
-            pooled = layer.apply(x)
-        finally:
-            pool.shutdown()
-        assert pool.submits == 1
-        assert np.array_equal(pooled, inline)
-        assert np.array_equal(pooled, self._broadcast_conv(layer, x))
-
-    def _float32_conv(self, monkeypatch, layer, x, budget, pooled):
-        """layer.apply(x) at a tile budget (None keeps the default), and with
-        pooled on an eager pool, which must get no tile: the float32 conv
-        runs its tiles on the caller, as sgemms through the BLAS."""
+    def _float32_conv(self, monkeypatch, layer, x, budget):
+        """layer.apply(x) at a tile budget (None keeps the default)."""
         if budget is not None:
             monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
-        pool = self._eager_pool(monkeypatch) if pooled else None
-        try:
-            got = layer.apply(x)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        assert pool is None or pool.submits == 0
+        got = layer.apply(x)
         assert got.dtype == np.float32
         return got
 
     @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
-                                               (1, True), (2000, True)])
+    @pytest.mark.parametrize("budget", [1, 2000, None])
     def test_float32_conv_on_integers_equals_exact_conv(self, rng, monkeypatch,
-                                                        stride, pad, budget, pooled):
+                                                        stride, pad, budget):
         # integers up to 8: every sum of 18 products and the bias is an
         # integer below 2**11, exact in float32 in any order.  3 rows of 2
         # channels of 11 x 4 make tiles of one output row at budget 1, of four
@@ -469,113 +441,49 @@ class TestConvAndPoolSemantics:
                        rng.integers(-8, 9, size=3).astype(float), stride, pad)
         x = rng.integers(-8, 9, size=(3, 2, 11, 4)).astype(np.float32)
         exact = layer.apply(x.astype(np.float64))
-        assert np.array_equal(self._float32_conv(monkeypatch, layer, x, budget, pooled), exact)
+        assert np.array_equal(self._float32_conv(monkeypatch, layer, x, budget), exact)
 
     @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    @pytest.mark.parametrize("budget,pooled", [(1, False), (2000, False), (None, False),
-                                               (1, True), (2000, True)])
-    def test_float32_conv_within_its_bound(self, rng, monkeypatch, stride, pad, budget, pooled):
+    @pytest.mark.parametrize("budget", [1, 2000, None])
+    def test_float32_conv_within_its_bound(self, rng, monkeypatch, stride, pad, budget):
         # the nn module docstring's conv term at d = 0: c S + under (1 + M),
         # S = max|b| + |W|_1 M, M = max|x|, k = 18
         layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
         x = rng.normal(size=(3, 2, 11, 4)).astype(np.float32)
         exact = layer.apply(x.astype(np.float64))
-        got = self._float32_conv(monkeypatch, layer, x, budget, pooled)
+        got = self._float32_conv(monkeypatch, layer, x, budget)
         k, big = 18, float(np.abs(x).max())
         c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
         s = np.abs(layer.bias).max() + np.abs(layer.weight).sum(axis=(1, 2, 3)).max() * big
         assert np.abs(got - exact).max() <= c * s + (k + 1) * 2.0 ** -124 * (1 + big)
 
-    def test_conv_tiles_shared_by_main_thread_and_pool(self, rng, monkeypatch):
-        # a real pool of two workers, created on first use; which thread takes
-        # which tile varies from run to run, the bits do not
-        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(nn, "_tile_pool", None)
+    def test_multi_tile_float64_conv_starts_no_thread(self):
+        # a fresh interpreter, so no thread is left over from an earlier test;
+        # tiles of 2000 bytes split the conv's output 20 x 9 by 7 rows
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _CONV_THREADS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        threads, bits = done.stdout.split()
+        assert threads == "same"
+        rng = np.random.default_rng(11)
         layer = Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (1, 1), (1, 1))
         x = rng.normal(size=(7, 2, 20, 9))
-        try:
-            for _ in range(5):
-                assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
-        finally:
-            nn._tile_pool.shutdown()
+        assert bits == self._broadcast_conv(layer, x).tobytes().hex()
 
-    def test_conv_overflow_on_pool_worker_raises_overflow_error(self, rng, monkeypatch):
-        # the worker must run its tiles under forward's errstate(over="ignore"),
-        # or the overflow surfaces as a RuntimeWarning turned error
+    def test_multi_tile_conv_overflow_raises_overflow_error(self, rng, monkeypatch):
+        # every tile runs under forward's errstate(over="ignore"), or the
+        # overflow surfaces as a RuntimeWarning turned error
         monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
         layers = (Conv2d(np.full((3, 1, 3, 3), 1e300), np.zeros(3), (1, 1), (0, 0)),
                   Flatten(), Dense(np.ones((2, 3 * 9 * 7)), np.zeros(2)))
         model = NetworkModel((1, 11, 9), 2, layers)
-        pool = self._eager_pool(monkeypatch)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NumericOverflowError, match="layer 0"):
-                    forward(model, np.full((7, 1, 11, 9), 1e10))
-        finally:
-            pool.shutdown()
-        assert pool.submits == 1
-
-    def test_conv_off_main_thread_runs_inline(self, rng, monkeypatch):
-        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
-        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (2, 1), (1, 0))
-        x = rng.normal(size=(7, 2, 11, 9))
-        pool = self._eager_pool(monkeypatch)
-        result = []
-        thread = threading.Thread(target=lambda: result.append(layer.apply(x)))
-        try:
-            thread.start()
-            thread.join(timeout=60)
-        finally:
-            pool.shutdown()
-        assert not thread.is_alive() and len(result) == 1
-        assert pool.submits == 0
-        assert np.array_equal(result[0], self._broadcast_conv(layer, x))
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
-    def test_conv_in_forked_child_does_not_wait_on_parents_pool(self, rng, monkeypatch):
-        # the child inherits the pool object but none of its worker threads
-        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(nn, "_tile_pool", None)
-        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (1, 1), (0, 0))
-        x = rng.normal(size=(7, 2, 11, 9))
-        want = layer.apply(x)
-        try:
-            pid = os.fork()
-            if pid == 0:  # child: exit without returning into pytest
-                os._exit(0 if np.array_equal(layer.apply(x), want) else 1)
-            deadline = time.monotonic() + 30
-            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            if done[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        finally:
-            nn._tile_pool.shutdown()
-        assert done[0] == pid, "child hung"
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_run_tiles_runs_each_tile_once_under_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(nn, "_tile_pool", None)
-        seen, lock = [], threading.Lock()
-
-        def run(tiles):
-            for tile in tiles:
-                time.sleep(0.001)
-                with lock:
-                    seen.append((tile, np.geterr()["over"]))
-
-        try:
-            with np.errstate(over="ignore"):
-                nn._run_tiles(run, list(range(40)))
-        finally:
-            nn._tile_pool.shutdown()
-        assert sorted(tile for tile, _ in seen) == list(range(40))
-        assert {over for _, over in seen} == {"ignore"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="layer 0"):
+                forward(model, np.full((7, 1, 11, 9), 1e10))
 
     def test_maxpool_values_come_from_window(self, rng):
         layer = MaxPool2d((2, 2), (2, 2))
@@ -962,9 +870,9 @@ class TestFastIndicative:
             indicative(model, batch, mask)
             assert all(vars(conv)["_float32_terms"] is terms for conv, terms in zip(convs, kept))
 
-    def test_fast_pass_leaves_the_tile_pool_alone(self, rng, monkeypatch):
-        # the float32 convs run as sgemms on the caller: with 3 CPUs and tiles
-        # of 2000 bytes, the float64 tile kernel would share its tiles out
+    def test_fast_pass_within_its_bound_of_forward(self, rng, monkeypatch):
+        # tiles of 2000 bytes: the fast pass's sgemms and forward's float64
+        # kernel each run several tiles
         monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
         layers = (Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
                   Relu(),
@@ -973,13 +881,7 @@ class TestFastIndicative:
                   Dense(rng.normal(size=(4, 18)), rng.normal(size=4)))
         model = NetworkModel((1, 8, 8), 4, layers)
         batch = rng.normal(size=(30, 1, 8, 8))
-        pool = TestConvAndPoolSemantics._eager_pool(monkeypatch, cpus=3)
-        try:
-            y, d = nn._fast(model, batch)
-        finally:
-            pool.shutdown()
-        assert pool.submits == 0
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)  # forward's tiles inline
+        y, d = nn._fast(model, batch)
         assert np.abs(y - forward(model, batch)).max() <= d
 
     @pytest.mark.parametrize("kind", ["conv2d", "dense"])

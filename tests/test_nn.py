@@ -2,8 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -420,18 +423,51 @@ class TestConvAndPoolSemantics:
         x = rng.normal(size=(7, 2, 11, 9))
         assert np.array_equal(layer.apply(x), self._broadcast_conv(layer, x))
 
-    def _float32_conv(self, monkeypatch, layer, x, budget):
-        """layer.apply(x) at a tile budget (None keeps the default)."""
+    @staticmethod
+    def _on_own_thread(fn):
+        """fn() on a thread of its own, as a library caller might run it: a
+        new thread starts from numpy's default errstate, not the caller's."""
+        result, errors = [], []
+
+        def target():
+            try:
+                result.append(fn())
+            except BaseException as error:  # re-raised on the caller
+                errors.append(error)
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "thread hung"
+        if errors:
+            raise errors[0]
+        return result[0]
+
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    def test_multi_tile_conv_off_main_thread_bitwise_equal(self, rng, monkeypatch, stride, pad):
+        # 2000 bytes: tiles of several output rows of one channel, the last
+        # partial at strides (1, 1) and (2, 1)
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(7, 2, 11, 9))
+        got = self._on_own_thread(lambda: layer.apply(x))
+        assert np.array_equal(got, layer.apply(x))
+        assert np.array_equal(got, self._broadcast_conv(layer, x))
+
+    def _float32_conv(self, monkeypatch, layer, x, budget, own_thread):
+        """layer.apply(x) at a tile budget (None keeps the default), on the
+        main thread or, with own_thread, on a thread of its own."""
         if budget is not None:
             monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
-        got = layer.apply(x)
+        got = self._on_own_thread(lambda: layer.apply(x)) if own_thread else layer.apply(x)
         assert got.dtype == np.float32
         return got
 
     @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    @pytest.mark.parametrize("budget", [1, 2000, None])
+    @pytest.mark.parametrize("budget,own_thread", [(1, False), (2000, False), (None, False),
+                                                   (1, True), (2000, True)])
     def test_float32_conv_on_integers_equals_exact_conv(self, rng, monkeypatch,
-                                                        stride, pad, budget):
+                                                        stride, pad, budget, own_thread):
         # integers up to 8: every sum of 18 products and the bias is an
         # integer below 2**11, exact in float32 in any order.  3 rows of 2
         # channels of 11 x 4 make tiles of one output row at budget 1, of four
@@ -441,17 +477,20 @@ class TestConvAndPoolSemantics:
                        rng.integers(-8, 9, size=3).astype(float), stride, pad)
         x = rng.integers(-8, 9, size=(3, 2, 11, 4)).astype(np.float32)
         exact = layer.apply(x.astype(np.float64))
-        assert np.array_equal(self._float32_conv(monkeypatch, layer, x, budget), exact)
+        assert np.array_equal(self._float32_conv(monkeypatch, layer, x, budget, own_thread),
+                              exact)
 
     @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
-    @pytest.mark.parametrize("budget", [1, 2000, None])
-    def test_float32_conv_within_its_bound(self, rng, monkeypatch, stride, pad, budget):
+    @pytest.mark.parametrize("budget,own_thread", [(1, False), (2000, False), (None, False),
+                                                   (1, True), (2000, True)])
+    def test_float32_conv_within_its_bound(self, rng, monkeypatch, stride, pad, budget,
+                                           own_thread):
         # the nn module docstring's conv term at d = 0: c S + under (1 + M),
         # S = max|b| + |W|_1 M, M = max|x|, k = 18
         layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
         x = rng.normal(size=(3, 2, 11, 4)).astype(np.float32)
         exact = layer.apply(x.astype(np.float64))
-        got = self._float32_conv(monkeypatch, layer, x, budget)
+        got = self._float32_conv(monkeypatch, layer, x, budget, own_thread)
         k, big = 18, float(np.abs(x).max())
         c = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) / (1 - (k + 1) * 2.0 ** -24)
         s = np.abs(layer.bias).max() + np.abs(layer.weight).sum(axis=(1, 2, 3)).max() * big
@@ -484,6 +523,48 @@ class TestConvAndPoolSemantics:
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError, match="layer 0"):
                 forward(model, np.full((7, 1, 11, 9), 1e10))
+
+    def test_multi_tile_conv_overflow_off_main_thread_raises_overflow_error(self, monkeypatch):
+        # forward sets its own errstate on whichever thread calls it
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layers = (Conv2d(np.full((3, 1, 3, 3), 1e300), np.zeros(3), (1, 1), (0, 0)),
+                  Flatten(), Dense(np.ones((2, 3 * 9 * 7)), np.zeros(2)))
+        model = NetworkModel((1, 11, 9), 2, layers)
+        with pytest.raises(NumericOverflowError, match="layer 0"):
+            self._on_own_thread(lambda: forward(model, np.full((7, 1, 11, 9), 1e10)))
+
+    def test_multi_tile_conv_repeats_bitwise(self, rng, monkeypatch):
+        # the tiles run in one fixed order: five runs give the same bits
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layer = Conv2d(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), (1, 1), (1, 1))
+        x = rng.normal(size=(7, 2, 20, 9))
+        want = self._broadcast_conv(layer, x)
+        for _ in range(5):
+            assert np.array_equal(layer.apply(x), want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with BLAS threads
+    def test_convs_in_forked_child_equal_parents(self, rng, monkeypatch):
+        # the parent has run both kernels, so the BLAS may hold threads the
+        # child does not inherit; the child's float64 and float32 convs must
+        # finish with the parent's bits
+        monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (1, 1), (0, 0))
+        x = rng.normal(size=(7, 2, 11, 9))
+        want, want32 = layer.apply(x), layer.apply(x.astype(np.float32))
+        pid = os.fork()
+        if pid == 0:  # child: exit without returning into pytest
+            same = (np.array_equal(layer.apply(x), want)
+                    and np.array_equal(layer.apply(x.astype(np.float32)), want32))
+            os._exit(0 if same else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "child hung"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_maxpool_values_come_from_window(self, rng):
         layer = MaxPool2d((2, 2), (2, 2))

@@ -93,7 +93,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -183,11 +183,47 @@ def _bound_scalars(weight: np.ndarray, bias: np.ndarray, c: float, under: float,
             1 + (k + 11) * 2.0 ** -52)
 
 
+# A layer checks and normalises its fields as it is built, from a file or in code.
+
+def _float_array(value, name: str, ndim: int) -> np.ndarray:
+    """value as a finite float64 array of ndim dimensions, converted once."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} is not numeric") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {name!r}")
+    if arr.ndim != ndim:
+        raise ValueError(f"field {name!r} must have {ndim} dimensions")
+    return arr
+
+
+def _pair(value, name: str) -> tuple[int, int]:
+    """value as two ints >= 0, or one int (not a bool) standing for both."""
+    if type(value) is int:
+        return (value, value)
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(type(v) is int and v >= 0 for v in value)):
+        raise ValueError(f"field {name!r} must be two integers")
+    return tuple(value)
+
+
+def _weight_and_bias(layer, ndim: int, rows: str) -> None:
+    """A dense or conv weight of ndim dimensions and one bias per weight row."""
+    vars(layer).update(weight=_float_array(layer.weight, "weight", ndim),
+                       bias=_float_array(layer.bias, "bias", 1))
+    if len(layer.bias) != len(layer.weight):
+        raise ValueError(f"bias length {len(layer.bias)} != {rows} {len(layer.weight)}")
+
+
 @dataclass(frozen=True)
 class Dense:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
     kind = "dense"
+
+    def __post_init__(self):
+        _weight_and_bias(self, 2, "weight rows")
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.weight.shape[1]:
@@ -235,9 +271,18 @@ _CONV_TILE_BYTES = 512 * 1024
 class Conv2d:
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
     bias: np.ndarray    # (out_ch,)
-    stride: tuple[int, int]
-    padding: tuple[int, int]
+    stride: tuple[int, int] = (1, 1)
+    padding: tuple[int, int] = (0, 0)
     kind = "conv2d"
+
+    def __post_init__(self):
+        _weight_and_bias(self, 4, "out channels")
+        stride, padding = _pair(self.stride, "stride"), _pair(self.padding, "padding")
+        if min(stride) < 1:
+            raise ValueError("stride must be >= 1")
+        if min(padding) < 0:
+            raise ValueError("padding must be >= 0")
+        vars(self).update(stride=stride, padding=padding)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.weight.shape[1]:
@@ -348,8 +393,16 @@ class Conv2d:
 @dataclass(frozen=True)
 class MaxPool2d:
     window: tuple[int, int]
-    stride: tuple[int, int]
+    stride: tuple[int, int] = ()  # () for the window
     kind = "maxpool2d"
+
+    def __post_init__(self):
+        window = _pair(self.window, "window")
+        same = type(self.stride) is tuple and not self.stride
+        stride = window if same else _pair(self.stride, "stride")
+        if min(window) < 1 or min(stride) < 1:
+            raise ValueError("window and stride must be >= 1")
+        vars(self).update(window=window, stride=stride)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -392,6 +445,12 @@ class Normalize:
     mean: np.ndarray
     scale: np.ndarray
     kind = "normalize"
+
+    def __post_init__(self):
+        vars(self).update(mean=_float_array(self.mean, "mean", 1),
+                          scale=_float_array(self.scale, "scale", 1))
+        if (self.scale <= 0).any():
+            raise ValueError("normalize scale must be strictly positive")
 
     def _broadcast(self, arr, in_shape):
         if arr.size == math.prod(in_shape):
@@ -557,93 +616,33 @@ def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.n
 # {"input_shape": [...], "num_labels": m,
 #  "layers": [{"kind": "dense", "weight": [[...]], "bias": [...]}, ...]}
 #
-# Weights are nested row-major lists.  Intended for desk-scale models; the
+# A layer holds its kind and its class's fields; one with a default may be
+# left out.  Weights are nested row-major lists, for desk-scale models: the
 # format is plain text and grows ~20 bytes per parameter.
 
-def _req(obj, key, layer_idx):
-    if key not in obj:
-        raise ModelFormatError(f"layer {layer_idx}: missing field {key!r}")
-    return obj[key]
-
-
-def _finite_param(values, layer_idx, name, shape=None):
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"layer {layer_idx}: field {name!r} is not numeric") from None
-    if not np.isfinite(arr).all():
-        raise ModelFormatError(f"layer {layer_idx}: non-finite value in {name!r}")
-    if shape is not None and arr.ndim != shape:
-        raise ModelFormatError(
-            f"layer {layer_idx}: field {name!r} must have {shape} dimensions")
-    return arr
-
-
-def _pair(values, layer_idx, name):
-    if type(values) is int:  # a JSON boolean is not an integer
-        return (values, values)
-    if (not isinstance(values, (list, tuple)) or len(values) != 2
-            or not all(type(v) is int and v >= 0 for v in values)):
-        raise ModelFormatError(f"layer {layer_idx}: field {name!r} must be two integers")
-    return tuple(values)
+_LAYER_KINDS = {cls.kind: cls for cls in LayerSpec.__args__}
 
 
 def _layer_from_json(obj, idx) -> LayerSpec:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"layer {idx}: must be an object")
-    kind = _req(obj, "kind", idx)
-    if kind == "dense":
-        w = _finite_param(_req(obj, "weight", idx), idx, "weight", shape=2)
-        b = _finite_param(_req(obj, "bias", idx), idx, "bias", shape=1)
-        if w.shape[0] != b.shape[0]:
-            raise ModelFormatError(
-                f"layer {idx}: bias length {b.shape[0]} != weight rows {w.shape[0]}")
-        return Dense(w, b)
-    if kind == "relu":
-        return Relu()
-    if kind == "conv2d":
-        w = _finite_param(_req(obj, "weight", idx), idx, "weight", shape=4)
-        b = _finite_param(_req(obj, "bias", idx), idx, "bias", shape=1)
-        if w.shape[0] != b.shape[0]:
-            raise ModelFormatError(
-                f"layer {idx}: bias length {b.shape[0]} != out channels {w.shape[0]}")
-        stride = _pair(obj.get("stride", 1), idx, "stride")
-        padding = _pair(obj.get("padding", 0), idx, "padding")
-        if min(stride) < 1:
-            raise ModelFormatError(f"layer {idx}: stride must be >= 1")
-        return Conv2d(w, b, stride, padding)
-    if kind == "maxpool2d":
-        window = _pair(_req(obj, "window", idx), idx, "window")
-        stride = _pair(obj.get("stride", list(window)), idx, "stride")
-        if min(window) < 1 or min(stride) < 1:
-            raise ModelFormatError(f"layer {idx}: window and stride must be >= 1")
-        return MaxPool2d(window, stride)
-    if kind == "flatten":
-        return Flatten()
-    if kind == "normalize":
-        mean = _finite_param(_req(obj, "mean", idx), idx, "mean", shape=1)
-        scale = _finite_param(_req(obj, "scale", idx), idx, "scale", shape=1)
-        if (scale <= 0).any():
-            raise ModelFormatError(f"layer {idx}: normalize scale must be strictly positive")
-        return Normalize(mean, scale)
-    raise ModelFormatError(f"layer {idx}: unknown kind {kind!r}")
+    if "kind" not in obj:
+        raise ModelFormatError(f"layer {idx}: missing field 'kind'")
+    cls = _LAYER_KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if cls is None:
+        raise ModelFormatError(f"layer {idx}: unknown kind {obj['kind']!r}")
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING:
+            raise ModelFormatError(f"layer {idx}: missing field {f.name!r}")
+    try:
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+    except ValueError as exc:
+        raise ModelFormatError(f"layer {idx}: {exc}") from None
 
 
 def _layer_to_json(layer: LayerSpec) -> dict:
-    if isinstance(layer, Dense):
-        return {"kind": "dense", "weight": layer.weight.tolist(), "bias": layer.bias.tolist()}
-    if isinstance(layer, Relu):
-        return {"kind": "relu"}
-    if isinstance(layer, Conv2d):
-        return {"kind": "conv2d", "weight": layer.weight.tolist(), "bias": layer.bias.tolist(),
-                "stride": list(layer.stride), "padding": list(layer.padding)}
-    if isinstance(layer, MaxPool2d):
-        return {"kind": "maxpool2d", "window": list(layer.window), "stride": list(layer.stride)}
-    if isinstance(layer, Flatten):
-        return {"kind": "flatten"}
-    if isinstance(layer, Normalize):
-        return {"kind": "normalize", "mean": layer.mean.tolist(), "scale": layer.scale.tolist()}
-    raise TypeError(f"unknown layer type {type(layer)!r}")
+    return {"kind": layer.kind,
+            **{f.name: np.asarray(getattr(layer, f.name)).tolist() for f in fields(layer)}}
 
 
 def load_model(text: str | bytes) -> NetworkModel:

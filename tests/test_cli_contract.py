@@ -9,6 +9,8 @@ datasets stay tiny, so no example starts many threads or allocates much.
 
 import contextlib
 import io
+import json
+import math
 import warnings
 
 import pytest
@@ -20,7 +22,22 @@ from ewrobust.cli import main
 from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import dump_model
 
-# model documents that once crashed `decide` with a TypeError or RecursionError
+
+
+def model_doc(*layers, shape=(2,)):
+    return json.dumps({"input_shape": list(shape), "num_labels": 2, "layers": list(layers)})
+
+
+# a valid 2 -> 2 dense layer, and a valid conv 1 -> 2 (1x1) on a (1, 1, 2) input
+# followed by the layers that bring it to two labels
+DENSE = {"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}
+CONV = {"kind": "conv2d", "weight": [[[[1.0]]], [[[-1.0]]]], "bias": [0, 0]}
+CONV_HEAD = ({"kind": "flatten"}, {"kind": "dense", "weight": [[1, 0, 0, 0], [0, 0, 0, 1]],
+                                   "bias": [0, 0]})
+POOL_HEAD = ({"kind": "flatten"}, {"kind": "dense", "weight": [[1], [-1]], "bias": [0, 0]})
+
+# model documents that once crashed `decide` with a TypeError or RecursionError,
+# then one defect of one field per document, each in an otherwise valid model
 BAD_MODELS = {
     "int_layer": '{"input_shape": [2], "num_labels": 2, "layers": [5]}',
     "null_layer": '{"input_shape": [2], "num_labels": 2, "layers": [null]}',
@@ -28,6 +45,15 @@ BAD_MODELS = {
     "bool_shape": ('{"input_shape": [true, 2], "num_labels": 2, "layers": [{"kind": "flatten"}, '
                    '{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}]}'),
     "deep": "[" * 100_000 + "]" * 100_000,
+    "list_kind": model_doc({**DENSE, "kind": ["dense"]}),
+    "stride_0": model_doc({**CONV, "stride": 0}, *CONV_HEAD, shape=(1, 1, 2)),
+    "padding_-1": model_doc({**CONV, "padding": -1}, *CONV_HEAD, shape=(1, 1, 2)),
+    "ragged_weight": model_doc({**DENSE, "weight": [[1, 0], [0]]}),
+    "nan_weight": model_doc({**DENSE, "weight": [[1, 0], [math.nan, 1]]}),
+    "missing_bias": model_doc({"kind": "dense", "weight": DENSE["weight"]}),
+    "bias_length": model_doc({**DENSE, "bias": [0, 0, 0, 0, 0]}),
+    "pool_window_0": model_doc({"kind": "maxpool2d", "window": [0, 2]}, *POOL_HEAD,
+                               shape=(1, 1, 2)),
 }
 DROP = object()    # mutation: leave the flag out
 SWITCH = object()  # a flag that takes no value
@@ -117,7 +143,12 @@ OPTIONS = {
 }
 
 
-def base(f, command):
+# curve's --radius and --radius-grid exclude each other, so its base argv
+# carries exactly one of the two
+CURVE_RADII = ({"--radius-list": "0.1,0.3"}, {"--radius-grid": "0:0.4:0.2"})
+
+
+def base(f, command, curve_radii=CURVE_RADII[0]):
     """A valid argv of each subcommand, as a flag -> value dict."""
     point = {"--model": f["model"], "--input": f["center"]}
     sweep = {"--model": f["model"], "--dataset": f["inputs"], "--labels": f["labels"],
@@ -126,7 +157,7 @@ def base(f, command):
     return {
         "decide": {**point, **stats, "--radius": "0.2"},
         "evaluate": {**point, **stats, "--radius-max": "1", "--precision": "0.25"},
-        "curve": {**sweep, **stats, "--radius-list": "0.1,0.3"},
+        "curve": {**sweep, **stats, **curve_radii},
         "radii": {**sweep, **stats, "--radius-max": "1", "--precision": "0.25"},
         "gadget": {"--cnf": f["cnf"], "--out": f["out"]},
         "sample": {"--norm": "2", "--radius": "1", "--count": "3", "--shape": "2",
@@ -156,16 +187,19 @@ def to_argv(command, flags):
 @st.composite
 def argvs(draw, f):
     command = draw(st.sampled_from(sorted(OPTIONS)))
-    flags = base(f, command)
+    flags = base(f, command, draw(st.sampled_from(CURVE_RADII)))
     candidates = values(f)
     for flag in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4)):
         flags[flag] = draw(st.sampled_from((DROP,) + candidates[flag]))
     return to_argv(command, flags)
 
 
-@pytest.mark.parametrize("command", sorted(OPTIONS))
-def test_base_argv_succeeds(files, command):
-    rc, err = run(to_argv(command, base(files, command)))
+@pytest.mark.parametrize("command,curve_radii",
+                         [(command, CURVE_RADII[0]) for command in sorted(OPTIONS)]
+                         + [("curve", CURVE_RADII[1])],
+                         ids=sorted(OPTIONS) + ["curve-grid"])
+def test_base_argv_succeeds(files, command, curve_radii):
+    rc, err = run(to_argv(command, base(files, command, curve_radii)))
     assert rc == 0, err
 
 
@@ -283,6 +317,28 @@ def test_bad_model_file_is_runtime_error(files, name):
     rc, err = run(to_argv("decide", {**base(files, "decide"), "--model": files[name]}))
     assert rc == 3, err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# the line of each one-field defect, recorded before layers checked their own
+# fields; all but padding -1 are unchanged since.  A negative padding once
+# passed the reader, and the conv's shape check then said "layer 0 (conv2d):
+# conv2d kernel does not fit input (1, 1, 2)".
+LAYER_DEFECTS = {
+    "list_kind": "error: layer 0: unknown kind ['dense']\n",
+    "stride_0": "error: layer 0: stride must be >= 1\n",
+    "padding_-1": "error: layer 0: padding must be >= 0\n",
+    "ragged_weight": "error: layer 0: field 'weight' is not numeric\n",
+    "nan_weight": "error: layer 0: non-finite value in 'weight'\n",
+    "missing_bias": "error: layer 0: missing field 'bias'\n",
+    "bias_length": "error: layer 0: bias length 5 != weight rows 2\n",
+    "pool_window_0": "error: layer 0: window and stride must be >= 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_DEFECTS))
+def test_layer_defect_names_layer_and_field(files, name):
+    rc, err = run(to_argv("decide", {**base(files, "decide"), "--model": files[name]}))
+    assert (rc, err) == (3, LAYER_DEFECTS[name])
 
 
 def test_sample_has_no_radial_flag(files):

@@ -13,7 +13,7 @@ its thread count.  The forward hashes were re-recorded once, when dense
 moved from a fixed-order column loop to that split product.
 
 To re-record after a deliberate, documented change, print ``golden_hashes()``,
-``golden_probes()`` or ``golden_sweeps()``.
+``golden_probes()``, ``golden_sweeps()`` or ``golden_model_files()``.
 """
 
 import hashlib
@@ -108,6 +108,15 @@ GOLDEN_SWEEPS = {
     "curve-omega-correct-only": "28b4a5babf1022f7a4018903584f125a",
     "radii": "380e1562e6cde9cb5a458d079882272c",
 }
+# model file -> first 32 hex digits of the SHA-256 of the bytes written: the
+# model file of _cnn, whose layers are of all six kinds, by dump_model, and
+# `ewrobust gadget` on GADGET_CNF.  Recorded before layers checked their own
+# fields and the JSON reader and writer went generic.
+GOLDEN_MODEL_FILES = {
+    "dump-cnn": "9da8cfa1fd05bb9736a51e01e78547c3",
+    "gadget": "24a1af4692b967fb2aff1be1c98458c4",
+}
+GADGET_CNF = "c three clauses\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
 SWEEP_ROWS = (108, 435, 984, 406, 502, 750, 808, 222, 581, 56)
 SWEEP_LABELS = (9, 5, 5, 5, 5, 5, 5, 5, 5, 3)
 SWEEP_ARGV = {
@@ -213,6 +222,17 @@ def _sweep(report: str, workdir: pathlib.Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()[:32]
 
 
+def _model_file(name: str, workdir: pathlib.Path) -> str:
+    if name == "dump-cnn":
+        data = dump_model(_cnn()).encode()
+    else:
+        (workdir / "gadget.cnf").write_text(GADGET_CNF)
+        assert main(["gadget", "--cnf", str(workdir / "gadget.cnf"),
+                     "--out", str(workdir / "gadget.json")]) == 0
+        data = (workdir / "gadget.json").read_bytes()
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
 def golden_hashes() -> dict:
     return {f"{case}/{size}": _digest(_output(case, size)) for case, size in CASES}
 
@@ -224,6 +244,11 @@ def golden_probes() -> dict:
 def golden_sweeps() -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         return {report: _sweep(report, pathlib.Path(workdir)) for report in GOLDEN_SWEEPS}
+
+
+def golden_model_files() -> dict:
+    with tempfile.TemporaryDirectory() as workdir:
+        return {name: _model_file(name, pathlib.Path(workdir)) for name in GOLDEN_MODEL_FILES}
 
 
 @pytest.mark.parametrize("case,size", CASES)
@@ -245,3 +270,8 @@ def test_golden_probes(norm, clamp):
 @pytest.mark.parametrize("report", list(GOLDEN_SWEEPS))
 def test_golden_sweep_report(report, tmp_path):
     assert _sweep(report, tmp_path) == GOLDEN_SWEEPS[report]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MODEL_FILES))
+def test_golden_model_file(name, tmp_path):
+    assert _model_file(name, tmp_path) == GOLDEN_MODEL_FILES[name]

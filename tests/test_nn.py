@@ -1128,6 +1128,59 @@ class TestFastIndicative:
                 first_label_indicator(model, x)
 
 
+W2 = np.eye(2)
+W4 = np.ones((2, 1, 1, 1))
+
+
+class TestLayerFields:
+    """A layer built in code checks its fields as one read from a file does,
+    and names the field at fault."""
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: Conv2d(W4, np.zeros(2), (0, 1)), "stride"),
+        (lambda: Conv2d(W4, np.zeros(2), 1, -1), "padding"),
+        (lambda: Conv2d(W4, np.zeros(2), True), "stride"),
+        (lambda: Conv2d(W4, np.zeros(3)), "bias"),
+        (lambda: Dense(np.ones(2), np.zeros(2)), "weight"),
+        (lambda: Dense(W2, np.zeros(5)), "bias"),
+        (lambda: Dense([[1.0, 0.0], [0.0]], [0.0, 0.0]), "weight"),
+        (lambda: Dense(np.array([[1.0, math.nan], [0.0, 1.0]]), np.zeros(2)), "weight"),
+        (lambda: MaxPool2d((0, 2)), "window"),
+        (lambda: MaxPool2d((2, 2), (2, 1.5)), "stride"),
+        (lambda: Normalize(np.zeros(2), np.array([1.0, 0.0])), "scale"),
+        (lambda: Normalize(np.zeros((1, 2)), np.ones(2)), "mean"),
+    ], ids=["conv stride 0", "conv padding -1", "conv stride True", "conv bias length",
+            "1-D dense weight", "dense bias length", "ragged weight", "NaN weight",
+            "pool window 0", "pool stride 1.5", "normalize scale 0", "2-D normalize mean"])
+    def test_bad_field_raises_at_construction(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_list_weights_become_float64_arrays(self):
+        layer = Dense([[1, 2], [3, 4]], [1, 1])
+        assert layer.weight.dtype == np.float64 and layer.bias.dtype == np.float64
+        assert np.array_equal(layer.apply(np.ones((1, 2))), [[4.0, 8.0]])
+
+    def test_float64_arrays_are_kept_as_given(self):
+        weight, bias = np.eye(3), np.zeros(3)
+        layer = Dense(weight, bias)
+        assert layer.weight is weight and layer.bias is bias
+
+    def test_defaults_and_one_int_for_both(self):
+        conv = Conv2d(W4, np.zeros(2))
+        assert (conv.stride, conv.padding) == ((1, 1), (0, 0))
+        conv = Conv2d(W4, np.zeros(2), 2, [1, 0])
+        assert (conv.stride, conv.padding) == ((2, 2), (1, 0))
+        assert MaxPool2d((3, 2)).stride == (3, 2)
+        assert MaxPool2d(2, 1).window == (2, 2)
+
+    def test_dump_writes_the_normalised_fields(self):
+        model = NetworkModel((1, 4, 4), 2, (MaxPool2d(2), Flatten(), Dense(np.ones((2, 4)), [0, 0])))
+        doc = json.loads(dump_model(model))
+        assert doc["layers"][0] == {"kind": "maxpool2d", "window": [2, 2], "stride": [2, 2]}
+        assert dump_model(load_model(dump_model(model))) == dump_model(model)
+
+
 class TestModelFormat:
     def test_identity_file(self):
         doc = {"input_shape": [2], "num_labels": 2,

@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 usage error, 3 runtime error.  Every flag value is
 checked before any work: argparse checks each value by its type as it parses
 (and takes no prefix of a flag for the flag), and the checks that span flags
 follow before the first file is opened.  Only the checks that need a file
-(omega against the model's labels, --index against the dataset) run when it
-is loaded.
+(--shape against the model's input shape, omega against its labels, --index
+against the dataset) run when it is loaded.
 """
 
 from __future__ import annotations
@@ -91,9 +91,14 @@ def _grid(text: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _load_model_file(path: str):
-    with open(path, "rb") as fh:
-        return load_model(fh.read())
+def _load_model_file(args):
+    """The model of --model; a --shape other than its input shape is a usage
+    error."""
+    with open(args.model, "rb") as fh:
+        model = load_model(fh.read())
+    if args.shape not in (None, model.input_shape):
+        raise UsageError(f"--shape {args.shape} does not match model input {model.input_shape}")
+    return model
 
 
 def _checked_plan(args):
@@ -128,13 +133,12 @@ def _load_point(args, radius=0.0):
     elif args.index is None:
         raise UsageError("--dataset needs --index to pick a point")
     plan = _checked_plan(args)
-    model = _load_model_file(args.model)
-    shape = args.shape or model.input_shape
+    model = _load_model_file(args)
     gold = None
     if args.input is not None:
-        center = load_inputs(args.input, shape)[0]
+        center = load_inputs(args.input, model.input_shape)[0]
     else:
-        inputs = load_inputs(args.dataset, shape)
+        inputs = load_inputs(args.dataset, model.input_shape)
         if not 0 <= args.index < len(inputs):
             raise UsageError(f"--index {args.index} outside dataset of {len(inputs)} rows")
         center = inputs[args.index]
@@ -149,8 +153,8 @@ def _load_sweep(args, seed_of):
     omega is --omega, else the point's gold label, and its seed
     seed_of(point index)."""
     plan = _checked_plan(args)
-    model = _load_model_file(args.model)
-    dataset = load_dataset(args.dataset, args.labels, args.shape, model.num_labels)
+    model = _load_model_file(args)
+    dataset = load_dataset(args.dataset, args.labels, model.input_shape, model.num_labels)
     queries = [_query(args, model, plan, center, args.omega or {int(gold)}, seed_of(pid))
                for pid, (center, gold) in enumerate(zip(dataset.inputs, dataset.labels))]
     return model, dataset, queries
@@ -314,7 +318,7 @@ def _add_common(sub, *, sweep=False):
     sub.add_argument("--model", required=True, help="model file (JSON)")
     sub.add_argument("--dataset", required=sweep, help="inputs CSV, one flattened tensor per row")
     sub.add_argument("--labels", required=sweep, help="gold labels, one integer per line")
-    sub.add_argument("--shape", type=_SHAPE, required=sweep, help="tensor shape, e.g. 3,32,32")
+    sub.add_argument("--shape", type=_SHAPE, help="the model's input shape, e.g. 3,32,32")
     sub.add_argument("--omega", type=_OMEGA,
                      help="allowed labels, e.g. 1,9 (default: gold or predicted)")
     sub.add_argument("--norm", default="inf", choices=sampling.NORMS, help="ball norm")

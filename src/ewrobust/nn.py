@@ -114,10 +114,6 @@ class NumericOverflowError(ModelError):
     """A forward pass produced a non-finite intermediate value."""
 
 
-# bytes of the three slices of one block of dense input rows
-_DENSE_BLOCK_BYTES = 256 * 1024
-
-
 def _slice_bits(n: int) -> int:
     """Bits per slice for dot products of length n: a sum of n products of
     two slices stays at or below 2**53 units of its level, so it is exact."""
@@ -141,34 +137,6 @@ def _split(a: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
         if i < 2:
             r -= s
     return slices, e
-
-
-def _dense_matmul(x: np.ndarray, wt: np.ndarray, ew: np.ndarray, bits: int,
-                  bias: np.ndarray) -> np.ndarray:
-    # every gemm output is a sum of n products of one slice pair, exact in
-    # any order, so its bits do not depend on the block, the BLAS or its
-    # threads
-    rows, cols = x.shape
-    out = np.empty((rows, bias.size))
-    block = max(1, _DENSE_BLOCK_BYTES // (3 * 8 * cols))
-    for r0 in range(0, rows, block):
-        # a C-ordered block: after a conv, x is a transposed view, and a split
-        # of its rows would run numpy's loops over a few elements at a time
-        xs, ex = _split(np.ascontiguousarray(x[r0:r0 + block]), bits)
-        # pj[i] is the pair (i, j): weight slice j against input slice i
-        p0 = (xs.reshape(-1, cols) @ wt[0]).reshape(3, -1, bias.size)
-        p1 = (xs[:2].reshape(-1, cols) @ wt[1]).reshape(2, -1, bias.size)
-        p2 = xs[0] @ wt[2]
-        # the pairs with i + j < 3 in a fixed order, smallest level first
-        acc = p0[2] + p1[1]
-        acc += p2
-        acc += p0[1]
-        acc += p1[0]
-        acc += p0[0]
-        block_out = out[r0:r0 + block]
-        np.ldexp(acc, ex[:, None] + ew, out=block_out)
-        block_out += bias
-    return out
 
 
 def _bound_scalars(weight: np.ndarray, bias: np.ndarray, c: float, under: float,
@@ -247,8 +215,26 @@ class Dense:
                               2.0 ** 1020 / (1 + c))
 
     def apply(self, x):
+        # each gemm output is a sum of n products of one slice pair, exact in
+        # any order, so no bit depends on the batch, the BLAS or its threads
         wt, ew, bits = self._weight_split
-        return _dense_matmul(x, wt, ew, bits, self.bias)
+        (rows, cols), outs = x.shape, self.bias.size
+        # a C-ordered copy: after a conv, x is a transposed view, and a split
+        # of its rows would run numpy's loops over a few elements at a time
+        xs, ex = _split(np.ascontiguousarray(x), bits)
+        # pj[i] is the pair (i, j): weight slice j against input slice i
+        p0 = (xs.reshape(3 * rows, cols) @ wt[0]).reshape(3, rows, outs)
+        p1 = (xs[:2].reshape(2 * rows, cols) @ wt[1]).reshape(2, rows, outs)
+        p2 = xs[0] @ wt[2]
+        # the pairs with i + j < 3 in a fixed order, smallest level first
+        acc = p0[2] + p1[1]
+        acc += p2
+        acc += p0[1]
+        acc += p1[0]
+        acc += p0[0]
+        np.ldexp(acc, ex[:, None] + ew, out=acc)
+        acc += self.bias
+        return acc
 
 
 @dataclass(frozen=True)
@@ -476,14 +462,25 @@ LayerSpec = Dense | Relu | Conv2d | MaxPool2d | Flatten | Normalize
 @dataclass(frozen=True)
 class NetworkModel:
     """Immutable classifier: ordered layers mapping input_shape to num_labels
-    logits.  Shape-checked at construction."""
+    logits.  Fields checked and normalised, and shapes checked, when built."""
     input_shape: tuple[int, ...]
     num_labels: int
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        shape = tuple(self.input_shape) if isinstance(self.input_shape, (list, tuple)) else ()
+        if not shape or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                                and d > 0 for d in shape):
+            raise ValueError("input_shape must be a non-empty sequence of positive integers")
+        if not isinstance(self.num_labels, (int, np.integer)):  # a bool is below 2
+            raise ValueError(f"num_labels must be an integer, got {self.num_labels!r}")
         if self.num_labels < 2:
             raise ValueError(f"num_labels must be at least 2, got {self.num_labels}")
+        if not isinstance(self.layers, (list, tuple)) or not all(
+                isinstance(layer, LayerSpec) for layer in self.layers):
+            raise ValueError("layers must be a sequence of layers")
+        vars(self).update(input_shape=tuple(map(int, shape)), num_labels=int(self.num_labels),
+                          layers=tuple(self.layers))
         shape = self.input_shape
         for idx, layer in enumerate(self.layers):
             try:
@@ -579,16 +576,8 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         if layer.kind == "conv2d":
             x = layer.apply(x)
             continue
-        # row blocks as in the split product: one whole-batch gemm gave no
-        # speed gain that held over 10 benchmark pairs of MLP and CNN decides,
-        # and a higher peak RSS in every pair
-        y = np.empty((len(x), layer.bias.size))
-        block = max(1, _DENSE_BLOCK_BYTES // (8 * x.shape[1]))
-        for r0 in range(0, len(x), block):
-            np.matmul(np.ascontiguousarray(x[r0:r0 + block], np.float64), layer.weight.T,
-                      out=y[r0:r0 + block])
-        y += layer.bias
-        x = y
+        x = np.ascontiguousarray(x, np.float64) @ layer.weight.T
+        x += layer.bias
     return x, d
 
 
@@ -634,6 +623,9 @@ def _layer_from_json(obj, idx) -> LayerSpec:
     for f in fields(cls):
         if f.name not in obj and f.default is MISSING:
             raise ModelFormatError(f"layer {idx}: missing field {f.name!r}")
+    unknown = [key for key in obj if key != "kind" and key not in cls.__dataclass_fields__]
+    if unknown:
+        raise ModelFormatError(f"layer {idx}: unknown field {unknown[0]!r}")
     try:
         return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
     except ValueError as exc:
@@ -660,6 +652,9 @@ def load_model(text: str | bytes) -> NetworkModel:
     for key in ("input_shape", "num_labels", "layers"):
         if key not in doc:
             raise ModelFormatError(f"missing top-level field {key!r}")
+    unknown = [key for key in doc if key not in ("input_shape", "num_labels", "layers")]
+    if unknown:
+        raise ModelFormatError(f"unknown top-level field {unknown[0]!r}")
     shape = doc["input_shape"]
     if (not isinstance(shape, list) or not shape
             or not all(type(d) is int and d > 0 for d in shape)):

@@ -13,14 +13,16 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_conv_model
 from ewrobust import sampling
 from ewrobust.cli import main
 from ewrobust.gadgets import threshold_classifier
-from ewrobust.nn import dump_model
+from ewrobust.nn import dump_model, predict
 
 
 
@@ -54,6 +56,10 @@ BAD_MODELS = {
     "bias_length": model_doc({**DENSE, "bias": [0, 0, 0, 0, 0]}),
     "pool_window_0": model_doc({"kind": "maxpool2d", "window": [0, 2]}, *POOL_HEAD,
                                shape=(1, 1, 2)),
+    # a key outside the fields of its kind, once ignored: the conv loaded with stride 1
+    "conv_strides": model_doc({**CONV, "strides": 2}, *CONV_HEAD, shape=(1, 1, 2)),
+    "dense_stride": model_doc({**DENSE, "stride": -1}),
+    "top_level_extra": json.dumps({**json.loads(model_doc(DENSE)), "extra": 1}),
 }
 DROP = object()    # mutation: leave the flag out
 SWITCH = object()  # a flag that takes no value
@@ -322,7 +328,8 @@ def test_bad_model_file_is_runtime_error(files, name):
 # the line of each one-field defect, recorded before layers checked their own
 # fields; all but padding -1 are unchanged since.  A negative padding once
 # passed the reader, and the conv's shape check then said "layer 0 (conv2d):
-# conv2d kernel does not fit input (1, 1, 2)".
+# conv2d kernel does not fit input (1, 1, 2)".  The files with an unknown key
+# once loaded, and decide exited 0.
 LAYER_DEFECTS = {
     "list_kind": "error: layer 0: unknown kind ['dense']\n",
     "stride_0": "error: layer 0: stride must be >= 1\n",
@@ -332,6 +339,9 @@ LAYER_DEFECTS = {
     "missing_bias": "error: layer 0: missing field 'bias'\n",
     "bias_length": "error: layer 0: bias length 5 != weight rows 2\n",
     "pool_window_0": "error: layer 0: window and stride must be >= 1\n",
+    "conv_strides": "error: layer 0: unknown field 'strides'\n",
+    "dense_stride": "error: layer 0: unknown field 'stride'\n",
+    "top_level_extra": "error: unknown top-level field 'extra'\n",
 }
 
 
@@ -339,6 +349,70 @@ LAYER_DEFECTS = {
 def test_layer_defect_names_layer_and_field(files, name):
     rc, err = run(to_argv("decide", {**base(files, "decide"), "--model": files[name]}))
     assert (rc, err) == (3, LAYER_DEFECTS[name])
+
+
+@pytest.fixture(scope="module")
+def conv_files(tmp_path_factory):
+    """A (1, 8, 8) conv model, one center and four points labelled by it."""
+    root = tmp_path_factory.mktemp("conv")
+    rng = np.random.default_rng(5)
+    model = toy_conv_model(rng)
+    inputs = rng.uniform(0.0, 1.0, size=(4, 64))
+    labels = predict(model, inputs.reshape(4, 1, 8, 8))
+    (root / "model.json").write_text(dump_model(model))
+    np.savetxt(root / "inputs.csv", inputs, delimiter=",")
+    np.savetxt(root / "center.csv", inputs[:1], delimiter=",")
+    (root / "labels.txt").write_text("".join(f"{l}\n" for l in labels))
+    return {name: str(root / name)
+            for name in ("model.json", "inputs.csv", "center.csv", "labels.txt")}
+
+
+def conv_argv(f, command):
+    """A valid argv of each command that reads a model, on conv_files, with
+    no --shape."""
+    stats = ["--eps", "0.2", "--eps-prime", "0.1", "--out", f["model.json"] + ".csv"]
+    point = ["--model", f["model.json"], "--input", f["center.csv"], *stats]
+    sweep = ["--model", f["model.json"], "--dataset", f["inputs.csv"],
+             "--labels", f["labels.txt"], *stats]
+    search = ["--radius-max", "1", "--precision", "0.25"]
+    return {"decide": ["decide", *point, "--radius", "0.2"],
+            "evaluate": ["evaluate", *point, *search],
+            "curve": ["curve", *sweep, "--radius", "0.1"],
+            "radii": ["radii", *sweep, *search]}[command]
+
+
+SHAPE_RUNS = {
+    "decide": ["decide"],
+    "decide omega 3": ["decide", "--omega", "3"],
+    "evaluate": ["evaluate"],
+    "curve": ["curve"],
+    "curve correct-only": ["curve", "--correct-only"],
+    "radii": ["radii"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_RUNS))
+@pytest.mark.parametrize("shape,shown", [("8,8,1", "(8, 8, 1)"), ("64", "(64,)")],
+                         ids=["8,8,1", "64"])
+def test_shape_other_than_the_models_is_usage_error(conv_files, case, shape, shown):
+    # radii, curve and decide --omega 3 once ran on the reshaped rows and
+    # exited 0; decide without omega and curve --correct-only exited 3
+    command, *extra = SHAPE_RUNS[case]
+    rc, err = run(conv_argv(conv_files, command) + extra + ["--shape", shape])
+    assert (rc, err) == (2, f"usage error: --shape {shown} does not match model input "
+                            "(1, 8, 8)\n"), err
+
+
+@pytest.mark.parametrize("command", ["curve", "radii"])
+def test_sweep_shape_defaults_to_the_models(conv_files, command):
+    out = conv_files["model.json"] + ".csv"
+    reports = []
+    for shape in ([], ["--shape", "1,8,8"]):
+        rc, err = run(conv_argv(conv_files, command) + shape)
+        assert rc == 0, err
+        with open(out, encoding="utf-8") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]
 
 
 def test_sample_has_no_radial_flag(files):
@@ -403,7 +477,7 @@ def test_version_and_help_return_0(argv, printed):
 
 def test_memory_error_without_message_says_out_of_memory(files, monkeypatch):
     # a failed Python allocation raises MemoryError() with an empty message
-    def exhausted(path):
+    def exhausted(args):
         raise MemoryError()
     monkeypatch.setattr("ewrobust.cli._load_model_file", exhausted)
     rc, err = run(to_argv("decide", base(files, "decide")))

@@ -159,23 +159,35 @@ class TestDenseSplitProduct:
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 60),
            st.integers(1, 12), st.lists(st.integers(1, 40), max_size=6),
-           st.sampled_from("CF"), st.sampled_from([1, 2000, nn._DENSE_BLOCK_BYTES]))
+           st.sampled_from("CF"))
     @settings(max_examples=60, deadline=None)
-    def test_any_partition_gives_the_same_bits(self, seed, rows, cols, outs, cuts,
-                                               order, budget):
+    def test_any_partition_gives_the_same_bits(self, seed, rows, cols, outs, cuts, order):
         rng = np.random.default_rng(seed)
         layer = Dense(rng.normal(size=(outs, cols)), rng.normal(size=outs))
         x = np.asarray(rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, (rows, 1)),
                        order=order)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nn, "_DENSE_BLOCK_BYTES", budget)
-            whole = layer.apply(x)
-            bounds = sorted({0, rows, *(c for c in cuts if c < rows)})
-            parts = [layer.apply(x[a:b]) for a, b in zip(bounds, bounds[1:])]
+        whole = layer.apply(x)
+        bounds = sorted({0, rows, *(c for c in cuts if c < rows)})
+        parts = [layer.apply(x[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert whole.shape == (rows, outs)
         assert np.array_equal(np.vstack(parts) if parts else whole, whole)
         rowwise = [Dense(layer.weight, layer.bias).apply(x[k:k + 1]) for k in range(rows)]
         assert np.array_equal(np.vstack(rowwise) if rowwise else whole, whole)
+
+    def test_whole_batch_of_an_mlp_equals_its_rows(self):
+        # 300 rows of 784 inputs: more than one of the row blocks of 256 KiB of
+        # slices (13 rows) or of input (41 rows) that dense layers once ran in
+        rng = np.random.default_rng(3)
+        dims = (784, 100, 100, 10)
+        layers = []
+        for a, b in zip(dims, dims[1:]):
+            layers += [Dense(rng.normal(size=(b, a)) / a ** 0.5, rng.normal(size=b)), Relu()]
+        model = NetworkModel((784,), 10, tuple(layers[:-1]))
+        x = rng.normal(size=(300, 784))
+        whole = forward(model, x)
+        assert whole.tobytes() == np.vstack([forward(model, row) for row in x]).tobytes()
+        mask = label_mask(model, {0, 3, 7})
+        assert np.array_equal(indicative(model, x, mask), mask[predict(model, x)])
 
     def test_same_bits_at_any_blas_thread_count_and_cpu_set(self):
         src = os.path.dirname(os.path.dirname(nn.__file__))
@@ -256,7 +268,7 @@ class TestDenseSplitProduct:
             # slices 1 and 2 are at most half a unit of the slice before: so
             # the pairs (2,0), (1,1) and (0,2) are multiples of 2**-4bits
             # at most 2**52 of them, any two add exactly, and the order of the
-            # first two adds in _dense_matmul cannot show in the bits
+            # first two adds in Dense.apply cannot show in the bits
             assert (np.abs(s) <= 2.0 ** (-i * bits) / (2 if i else 1)).all()
             # no slice is subnormal, so flush-to-zero in a BLAS cannot drop one
             assert (np.abs(s[s != 0]) >= 2.0 ** (-3 * bits)).all()
@@ -1181,6 +1193,37 @@ class TestLayerFields:
         assert dump_model(load_model(dump_model(model))) == dump_model(model)
 
 
+class TestNetworkModelFields:
+    """A model built in code checks and normalises its own fields, so that
+    forward and dump_model take it as they take one from a file."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: NetworkModel((2.0,), 2, (Dense(W2, np.zeros(2)),)), "input_shape"),
+        (lambda: NetworkModel((True, 2), 2, (Flatten(), Dense(W2, np.zeros(2)))), "input_shape"),
+        (lambda: NetworkModel((-2, -1), 2, (Flatten(), Dense(W2, np.zeros(2)))), "input_shape"),
+        (lambda: NetworkModel(2, 2, (Dense(W2, np.zeros(2)),)), "input_shape"),
+        (lambda: NetworkModel((), 2, (Dense(W2, np.zeros(2)),)), "input_shape"),
+        (lambda: NetworkModel((2,), 2.0, (Dense(W2, np.zeros(2)),)), "num_labels"),
+        (lambda: NetworkModel((2,), 2, Dense(W2, np.zeros(2))), "layers"),
+        (lambda: NetworkModel((2,), 2, (None,)), "layers"),
+    ], ids=["float dim", "bool dim", "negative dims", "int shape", "empty shape",
+            "float labels", "bare layer", "None layer"])
+    def test_bad_field_raises_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_list_shape_and_layers_become_tuples(self):
+        model = NetworkModel([2], 2, [Dense(W2, np.zeros(2))])
+        assert model.input_shape == (2,) and type(model.input_shape) is tuple
+        assert type(model.layers) is tuple
+        assert np.array_equal(forward(model, [[3.0, -1.0]]), [[3.0, -1.0]])
+
+    def test_numpy_integers_become_python_ints(self):
+        model = NetworkModel((np.int64(2),), np.int64(2), (Dense(W2, np.zeros(2)),))
+        assert [type(d) for d in model.input_shape] == [int] and type(model.num_labels) is int
+        assert dump_model(load_model(dump_model(model))) == dump_model(model)
+
+
 class TestModelFormat:
     def test_identity_file(self):
         doc = {"input_shape": [2], "num_labels": 2,
@@ -1216,6 +1259,31 @@ class TestModelFormat:
     def test_unknown_kind(self):
         doc = {"input_shape": [2], "num_labels": 2, "layers": [{"kind": "softmax"}]}
         with pytest.raises(ModelFormatError, match="unknown kind"):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("shape,layers,key", [
+        ([1, 1, 2], [{"kind": "conv2d", "weight": [[[[1.0]]], [[[1.0]]]], "bias": [0, 0],
+                      "strides": 2}, {"kind": "flatten"},
+                     {"kind": "dense", "weight": [[1, 0, 0, 0], [0, 0, 0, 1]], "bias": [0, 0]}],
+         "strides"),
+        ([2], [{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0], "stride": -1}],
+         "stride"),
+        ([2], [{"kind": "relu", "Kind": "relu"},
+               {"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}], "Kind"),
+    ], ids=["conv strides", "dense stride", "relu Kind"])
+    def test_unknown_layer_key_is_named(self, shape, layers, key):
+        # once ignored: a conv with "strides": 2 loaded with stride 1
+        doc = {"input_shape": shape, "num_labels": 2, "layers": layers}
+        with pytest.raises(ModelFormatError, match=f"^layer 0: unknown field '{key}'$"):
+            load_model(json.dumps(doc))
+        # the same document without the key loads
+        load_model(json.dumps({**doc, "layers": [{k: v for k, v in layers[0].items() if k != key},
+                                                 *layers[1:]]}))
+
+    def test_unknown_top_level_key_is_named(self):
+        doc = {"input_shape": [2], "num_labels": 2, "extra": 1,
+               "layers": [{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}]}
+        with pytest.raises(ModelFormatError, match="^unknown top-level field 'extra'$"):
             load_model(json.dumps(doc))
 
     @pytest.mark.parametrize("layer", [5, None, ["kind"]])

@@ -26,7 +26,7 @@ from .data import fmt, load_dataset, load_inputs, load_labels, write_report
 from .decision import (SAT, UNSAT, CenterMisclassifiedError, RobustnessQuery,
                        decide, evaluate, point_check)
 from .gadgets import DimacsError, build_gadget, parse_dimacs
-from .nn import ModelError, dump_model, load_model, predict
+from .nn import dump_model, load_model, predict
 from .prng import derive_subseed
 from .stats import ErrorBudget, plan_test
 
@@ -149,15 +149,15 @@ def _load_point(args, radius=0.0):
 
 
 def _load_sweep(args, seed_of):
-    """Model and dataset of curve/radii, and each dataset point's query: its
-    omega is --omega, else the point's gold label, and its seed
+    """Model, inputs and labels of curve/radii, and each dataset point's
+    query: its omega is --omega, else the point's gold label, and its seed
     seed_of(point index)."""
     plan = _checked_plan(args)
     model = _load_model_file(args)
-    dataset = load_dataset(args.dataset, args.labels, model.input_shape, model.num_labels)
+    inputs, labels = load_dataset(args.dataset, args.labels, model.input_shape, model.num_labels)
     queries = [_query(args, model, plan, center, args.omega or {int(gold)}, seed_of(pid))
-               for pid, (center, gold) in enumerate(zip(dataset.inputs, dataset.labels))]
-    return model, dataset, queries
+               for pid, (center, gold) in enumerate(zip(inputs, labels))]
+    return model, inputs, labels, queries
 
 
 def _clamp_text(args) -> str:
@@ -220,15 +220,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_curve(args) -> int:
     # each radius draws from its own sub-seeds, so the queries' seed is unused
-    model, dataset, queries = _load_sweep(args, lambda pid: args.seed)
+    model, inputs, labels, queries = _load_sweep(args, lambda pid: args.seed)
 
-    keep = list(range(len(dataset)))
+    keep = list(range(len(labels)))
     if args.correct_only:
         # --batch rows at a time: the same labels (rows are independent) in
         # bounded memory
-        predictions = np.concatenate([predict(model, dataset.inputs[k:k + args.batch])
-                                      for k in range(0, len(dataset), args.batch)])
-        keep = [i for i in keep if predictions[i] == dataset.labels[i]]
+        predictions = np.concatenate([predict(model, inputs[k:k + args.batch])
+                                      for k in range(0, len(inputs), args.batch)])
+        keep = [i for i in keep if predictions[i] == labels[i]]
         if not keep:
             raise UsageError("--correct-only left no dataset points")
 
@@ -247,12 +247,12 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    _, dataset, queries = _load_sweep(args, lambda pid: derive_subseed(args.seed, pid))
+    _, _, labels, queries = _load_sweep(args, lambda pid: derive_subseed(args.seed, pid))
 
     rows = []
     by_class: dict[int, list[float]] = {}
     for pid, query in enumerate(queries):
-        gold = int(dataset.labels[pid])
+        gold = int(labels[pid])
         try:
             r_star = evaluate(query, args.radius_max, args.precision).r_star
         except CenterMisclassifiedError:
@@ -414,7 +414,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a failed Python allocation carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ModelError, CenterMisclassifiedError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,19 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class DatasetSlice:
-    """Uniformly shaped inputs with their gold labels, one per row."""
-    inputs: np.ndarray  # (count, *shape)
-    labels: np.ndarray  # (count,) int
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def _load_rows(path: str, **loadtxt) -> np.ndarray:
@@ -55,18 +44,19 @@ def load_labels(path: str, count: int, num_labels: int) -> np.ndarray:
 
 
 def load_dataset(inputs_path: str, labels_path: str, shape: tuple[int, ...],
-                 num_labels: int) -> DatasetSlice:
+                 num_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, labels): inputs of the given shape, one gold label per row."""
     inputs = load_inputs(inputs_path, shape)
-    labels = load_labels(labels_path, len(inputs), num_labels)
-    return DatasetSlice(inputs, labels)
+    return inputs, load_labels(labels_path, len(inputs), num_labels)
 
 
 def fmt(value) -> str:
-    """Canonical cell text: shortest round-trip float repr, '' for None."""
+    """Canonical cell text: shortest round-trip float repr (np.float64 too),
+    '' for None."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -98,7 +98,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 
-class ModelError(Exception):
+class ModelError(ValueError):
     """Base class for model construction / execution failures."""
 
 
@@ -472,7 +472,7 @@ class NetworkModel:
         if not shape or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                                 and d > 0 for d in shape):
             raise ValueError("input_shape must be a non-empty sequence of positive integers")
-        if not isinstance(self.num_labels, (int, np.integer)):  # a bool is below 2
+        if not isinstance(self.num_labels, (int, np.integer)) or isinstance(self.num_labels, bool):
             raise ValueError(f"num_labels must be an integer, got {self.num_labels!r}")
         if self.num_labels < 2:
             raise ValueError(f"num_labels must be at least 2, got {self.num_labels}")
@@ -605,31 +605,51 @@ def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.n
 # {"input_shape": [...], "num_labels": m,
 #  "layers": [{"kind": "dense", "weight": [[...]], "bias": [...]}, ...]}
 #
-# A layer holds its kind and its class's fields; one with a default may be
-# left out.  Weights are nested row-major lists, for desk-scale models: the
-# format is plain text and grows ~20 bytes per parameter.
+# The document holds NetworkModel's fields and a layer its kind and its
+# class's fields, and no other key; a field with a default may be left out.
+# Weights are nested row-major lists, for desk-scale models: the format is
+# plain text and grows ~20 bytes per parameter.
 
 _LAYER_KINDS = {cls.kind: cls for cls in LayerSpec.__args__}
 
 
-def _layer_from_json(obj, idx) -> LayerSpec:
+def _from_json(cls, obj, where: str, **read):
+    """cls built from the JSON object obj, which gives each field without a
+    default and no other key; a field named in read is read through it.  A
+    ValueError not yet a ModelError becomes a ModelFormatError at where."""
     if not isinstance(obj, dict):
-        raise ModelFormatError(f"layer {idx}: must be an object")
-    if "kind" not in obj:
-        raise ModelFormatError(f"layer {idx}: missing field 'kind'")
-    cls = _LAYER_KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if cls is None:
-        raise ModelFormatError(f"layer {idx}: unknown kind {obj['kind']!r}")
+        raise ModelFormatError(f"{where}: must be an object")
     for f in fields(cls):
         if f.name not in obj and f.default is MISSING:
-            raise ModelFormatError(f"layer {idx}: missing field {f.name!r}")
-    unknown = [key for key in obj if key != "kind" and key not in cls.__dataclass_fields__]
+            raise ModelFormatError(f"{where}: missing field {f.name!r}")
+    unknown = [key for key in obj if key not in cls.__dataclass_fields__]
     if unknown:
-        raise ModelFormatError(f"layer {idx}: unknown field {unknown[0]!r}")
+        raise ModelFormatError(f"{where}: unknown field {unknown[0]!r}")
     try:
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        return cls(**{key: read[key](value) if key in read else value
+                      for key, value in obj.items()})
+    except ModelError:
+        raise
     except ValueError as exc:
-        raise ModelFormatError(f"layer {idx}: {exc}") from None
+        raise ModelFormatError(f"{where}: {exc}") from None
+
+
+def _layer_from_json(obj, idx) -> LayerSpec:
+    where = f"layer {idx}"
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where}: must be an object")
+    if "kind" not in obj:
+        raise ModelFormatError(f"{where}: missing field 'kind'")
+    cls = _LAYER_KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if cls is None:
+        raise ModelFormatError(f"{where}: unknown kind {obj['kind']!r}")
+    return _from_json(cls, {key: value for key, value in obj.items() if key != "kind"}, where)
+
+
+def _layers_from_json(layers) -> tuple[LayerSpec, ...]:
+    if not isinstance(layers, list):
+        raise ValueError("layers must be a list")
+    return tuple(_layer_from_json(obj, idx) for idx, obj in enumerate(layers))
 
 
 def _layer_to_json(layer: LayerSpec) -> dict:
@@ -639,32 +659,13 @@ def _layer_to_json(layer: LayerSpec) -> dict:
 
 def load_model(text: str | bytes) -> NetworkModel:
     """Parse and shape-check a model document."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # also bad UTF-8 and an integer too long to read
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("top-level value must be an object")
-    for key in ("input_shape", "num_labels", "layers"):
-        if key not in doc:
-            raise ModelFormatError(f"missing top-level field {key!r}")
-    unknown = [key for key in doc if key not in ("input_shape", "num_labels", "layers")]
-    if unknown:
-        raise ModelFormatError(f"unknown top-level field {unknown[0]!r}")
-    shape = doc["input_shape"]
-    if (not isinstance(shape, list) or not shape
-            or not all(type(d) is int and d > 0 for d in shape)):
-        raise ModelFormatError("input_shape must be a non-empty list of positive integers")
-    if type(doc["num_labels"]) is not int:
-        raise ModelFormatError("num_labels must be an integer")
-    if not isinstance(doc["layers"], list):
-        raise ModelFormatError("layers must be a list")
-    layers = tuple(_layer_from_json(obj, idx) for idx, obj in enumerate(doc["layers"]))
-    return NetworkModel(tuple(shape), doc["num_labels"], layers)
+    return _from_json(NetworkModel, doc, "top-level", layers=_layers_from_json)
 
 
 def dump_model(model: NetworkModel) -> str:

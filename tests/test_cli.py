@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 from conftest import toy_conv_model
 from ewrobust import cli, decision, sampling, stats
 from ewrobust.cli import main
+from ewrobust.data import write_report
 from ewrobust.decision import SAT, UNSAT, Verdict
 from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
 from ewrobust.nn import Dense, NetworkModel, Relu, dump_model, load_model, predict
@@ -468,3 +470,14 @@ class TestSample:
         rc = main(["sample", "--norm", "3", "--radius", "1", "--count", "1",
                    "--shape", "2", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+
+class TestReport:
+    def test_numpy_float_is_written_as_its_float(self):
+        # under numpy >= 2 the repr of an np.float64 is "np.float64(0.5)"
+        values = [0.5, -0.0, 5e-324, 1e300, 0.1 + 0.2]
+        out = io.StringIO()
+        write_report(out, ["meta"], ["a", "b", "c", "d", "e"],
+                     [values, [np.float64(v) for v in values], [1, np.int64(2), None, "x", True]])
+        row = "0.5,-0.0,5e-324,1e+300,0.30000000000000004\n"
+        assert out.getvalue() == "# meta\na,b,c,d,e\n" + row + row + "1,2,,x,True\n"

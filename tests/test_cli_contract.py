@@ -325,6 +325,21 @@ def test_bad_model_file_is_runtime_error(files, name):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["decide", "evaluate", "curve", "radii"])
+def test_forward_overflow_is_runtime_error(files, tmp_path, command):
+    # a ModelError is a ValueError, yet a model's fault at run time is no
+    # usage error: no usage check wraps a model call
+    (tmp_path / "model.json").write_text(model_doc({**DENSE, "weight": [[1e308, 0], [0, 1]]}))
+    (tmp_path / "far.csv").write_text("10.0,0.0\n")
+    (tmp_path / "labels.txt").write_text("0\n")
+    flags = {**base(files, command), "--model": str(tmp_path / "model.json"), "--omega": "0"}
+    flags.update({key: str(tmp_path / name) for key, name in
+                  (("--input", "far.csv"), ("--dataset", "far.csv"), ("--labels", "labels.txt"))
+                  if key in flags})
+    rc, err = run(to_argv(command, flags))
+    assert rc == 3 and err.startswith("error:") and "layer 0 (dense)" in err, err
+
+
 # the line of each one-field defect, recorded before layers checked their own
 # fields; all but padding -1 are unchanged since.  A negative padding once
 # passed the reader, and the conv's shape check then said "layer 0 (conv2d):
@@ -341,7 +356,7 @@ LAYER_DEFECTS = {
     "pool_window_0": "error: layer 0: window and stride must be >= 1\n",
     "conv_strides": "error: layer 0: unknown field 'strides'\n",
     "dense_stride": "error: layer 0: unknown field 'stride'\n",
-    "top_level_extra": "error: unknown top-level field 'extra'\n",
+    "top_level_extra": "error: top-level: unknown field 'extra'\n",
 }
 
 

@@ -1283,8 +1283,49 @@ class TestModelFormat:
     def test_unknown_top_level_key_is_named(self):
         doc = {"input_shape": [2], "num_labels": 2, "extra": 1,
                "layers": [{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}]}
-        with pytest.raises(ModelFormatError, match="^unknown top-level field 'extra'$"):
+        with pytest.raises(ModelFormatError, match="^top-level: unknown field 'extra'$"):
             load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("change,message", [
+        ([1], "must be an object"),
+        ({"input_shape": None}, "missing field 'input_shape'"),
+        ({"num_labels": None}, "missing field 'num_labels'"),
+        ({"layers": None}, "missing field 'layers'"),
+        ({"extra": 1}, "unknown field 'extra'"),
+        ({"input_shape": 2}, "input_shape must be a non-empty sequence of positive integers"),
+        ({"input_shape": []}, "input_shape must be a non-empty sequence of positive integers"),
+        ({"input_shape": [True, 2]},
+         "input_shape must be a non-empty sequence of positive integers"),
+        ({"input_shape": [2.0]}, "input_shape must be a non-empty sequence of positive integers"),
+        ({"num_labels": True}, "num_labels must be an integer, got True"),
+        ({"num_labels": 2.0}, "num_labels must be an integer, got 2.0"),
+        ({"num_labels": 1}, "num_labels must be at least 2, got 1"),
+        ({"layers": {}}, "layers must be a list"),
+    ], ids=["not an object", "no input_shape", "no num_labels", "no layers", "unknown key",
+            "int shape", "empty shape", "bool dim", "float dim", "bool labels",
+            "float labels", "one label", "layers object"])
+    def test_top_level_defect(self, change, message):
+        doc = {"input_shape": [2], "num_labels": 2,
+               "layers": [{"kind": "dense", "weight": [[1, 0], [0, 1]], "bias": [0, 0]}]}
+        if isinstance(change, dict):  # None drops the key
+            doc = {k: v for k, v in {**doc, **change}.items() if v is not None}
+        else:
+            doc = change
+        with pytest.raises(ModelFormatError) as info:
+            load_model(json.dumps(doc))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"top-level: {message}"
+
+    def test_bad_utf8_is_format_error(self):
+        with pytest.raises(ModelFormatError) as info:
+            load_model(b"\xff\xfe{}")
+        assert str(info.value) == ("invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 0: invalid start byte")
+
+    def test_integer_too_long_to_read_is_format_error(self):
+        # Python refuses to read an int of more than 4300 digits by default
+        with pytest.raises(ModelFormatError, match="^invalid JSON: "):
+            load_model('{"input_shape": [' + "1" * 5000 + '], "num_labels": 2, "layers": []}')
 
     @pytest.mark.parametrize("layer", [5, None, ["kind"]])
     def test_layer_must_be_object(self, layer):

@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .decision import (CenterMisclassifiedError, RadiusResult, RobustnessQuery,
                        Verdict, decide, decide_with_source, evaluate, point_check)
-from .gadgets import (CnfFormula, build_gadget, corner_source, count_satisfying,
-                      parse_dimacs, threshold_classifier, threshold_fraction)
+from .gadgets import CnfFormula, build_gadget, parse_dimacs
 from .nn import (NetworkModel, NumericOverflowError, ShapeMismatchError, dump_model,
                  forward, indicative, load_model, predict)
 from .sampling import BallSpec, sample_batch
@@ -22,10 +21,9 @@ __all__ = [
     "BallSpec", "CenterMisclassifiedError", "CnfFormula", "ErrorBudget",
     "NetworkModel", "NumericOverflowError", "RadiusResult",
     "RobustnessQuery", "ShapeMismatchError",
-    "TestPlan", "Verdict", "build_gadget", "choose_epsilon_prime", "corner_source",
-    "count_satisfying", "decide", "decide_with_source", "dump_model", "early_accept",
+    "TestPlan", "Verdict", "build_gadget", "choose_epsilon_prime",
+    "decide", "decide_with_source", "dump_model", "early_accept",
     "early_reject", "evaluate", "forward", "indicative", "inv_norm_cdf", "load_model",
     "parse_dimacs", "plan_test", "point_check", "predict",
     "reg_lower_incomplete_gamma", "sample_batch", "sat_probability",
-    "threshold_classifier", "threshold_fraction",
 ]

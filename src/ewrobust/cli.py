@@ -273,7 +273,7 @@ def cmd_radii(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    with open(args.cnf, encoding="utf-8") as fh:
+    with open(args.cnf, encoding="utf-8-sig") as fh:
         try:
             cnf = parse_dimacs(fh.read())
         except DimacsError as exc:

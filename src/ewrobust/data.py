@@ -1,7 +1,8 @@
 """Dataset loading and CSV report writing.
 
 Datasets are desk-scale and inspectable: inputs as CSV (one flattened tensor
-per row), labels as one integer per line, tensor shape declared by flag.
+per row), labels as one integer per line, tensor shape declared by flag.  A
+leading UTF-8 byte-order mark, which spreadsheet exports write, is ignored.
 Reports are UTF-8 CSV with '#'-prefixed metadata lines on top; everything
 below the metadata block (header plus data rows) is the reproducible body.
 """
@@ -17,7 +18,7 @@ import numpy as np
 def _load_rows(path: str, **loadtxt) -> np.ndarray:
     with warnings.catch_warnings():  # an empty file is reported below
         warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(path, **loadtxt)
+        rows = np.loadtxt(path, encoding="utf-8-sig", **loadtxt)
     if rows.shape[0] == 0:
         raise ValueError(f"{path}: no rows")
     return rows

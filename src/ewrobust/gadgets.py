@@ -1,12 +1,12 @@
-"""Exact test oracles: CNF-to-ReLU reduction and analytic synthetic
-classifiers.
+"""The CNF-to-ReLU reduction behind `ewrobust gadget`.
 
 The reduction turns a CNF formula into a 2-label ReLU network that outputs
 label 0 exactly on satisfying Boolean assignments: per clause,
 y = 1 - max(0, 1 - sum of literal values) with negated inputs realized as the
-affine map 1 - x, then o1 = sum_j y_j against a constant o2 = m - 0.5.
-Combined with brute-force model counting this gives end-to-end oracles whose
-acceptance probability is known exactly.
+affine map 1 - x, then o1 = sum_j y_j against a constant o2 = m - 0.5.  The
+share of Boolean corners the network labels 0 is then the formula's model
+count over 2^n, which ties a robustness decision to #SAT (the paper's
+PP-hardness argument).
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import prng
-from .decision import IndicativeSource
-from .nn import Dense, NetworkModel, Relu, predict
-
-ENUMERATION_LIMIT = 20
+from .nn import Dense, NetworkModel, Relu
 
 
 @dataclass(frozen=True)
@@ -128,65 +124,3 @@ def build_gadget(cnf: CnfFormula) -> NetworkModel:
 
     return NetworkModel((n,), 2, (Dense(lit_w, lit_b), Dense(pre_w, pre_b),
                                   Relu(), Dense(out_w, out_b)))
-
-
-def _assignment_table(num_vars: int) -> np.ndarray:
-    """All 2^n Boolean assignments, rows indexed by the binary value with
-    variable 1 as the least significant bit."""
-    if num_vars > ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive enumeration capped at "
-                         f"{ENUMERATION_LIMIT} variables, got {num_vars}")
-    codes = np.arange(2 ** num_vars, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(num_vars, dtype=np.uint32)) & 1).astype(np.float64)
-
-
-def satisfies(cnf: CnfFormula, assignments: np.ndarray) -> np.ndarray:
-    """Boolean per row of a {0,1}-valued assignment matrix."""
-    assignments = np.asarray(assignments, dtype=np.float64)
-    ok = np.ones(assignments.shape[0], dtype=bool)
-    for clause in cnf.clauses:
-        clause_ok = np.zeros(assignments.shape[0], dtype=bool)
-        for lit in clause:
-            val = assignments[:, abs(lit) - 1] > 0.5
-            clause_ok |= val if lit > 0 else ~val
-        ok &= clause_ok
-    return ok
-
-
-def count_satisfying(cnf: CnfFormula) -> int:
-    """Exact satisfying-assignment count by full enumeration (n <= 20)."""
-    return int(satisfies(cnf, _assignment_table(cnf.num_vars)).sum())
-
-
-def corner_source(target: CnfFormula | NetworkModel, seed: int) -> IndicativeSource:
-    """0/1 source: sample index i maps to a uniform corner of {0,1}^n and
-    the outcome is 1 iff the gadget network labels it satisfied."""
-    model = build_gadget(target) if isinstance(target, CnfFormula) else target
-    n = model.input_shape[0]
-
-    def source(indices: np.ndarray) -> np.ndarray:
-        corners = (prng.uniforms(seed, indices, n) >= 0.5).astype(np.float64)
-        return (predict(model, corners) == 0).astype(np.int64)
-
-    return source
-
-
-def threshold_classifier(n: int, coordinate: int, threshold: float) -> NetworkModel:
-    """2-label model predicting label 0 iff x[coordinate] <= threshold
-    (label 0 at equality via the smallest-index tie break)."""
-    if not 0 <= coordinate < n:
-        raise ValueError(f"coordinate {coordinate} out of range for n={n}")
-    w = np.zeros((2, n))
-    w[0, coordinate] = -1.0
-    w[1, coordinate] = 1.0
-    b = np.array([threshold, -threshold])
-    return NetworkModel((n,), 2, (Dense(w, b),))
-
-
-def threshold_fraction(center_coord: float, radius: float, threshold: float) -> float:
-    """Exact fraction of an linf ball (projected on one coordinate) with
-    x <= threshold: the closed-form success probability of the threshold
-    classifier."""
-    if radius == 0.0:
-        return 1.0 if center_coord <= threshold else 0.0
-    return float(np.clip((threshold - (center_coord - radius)) / (2.0 * radius), 0.0, 1.0))

@@ -658,9 +658,10 @@ def _layer_to_json(layer: LayerSpec) -> dict:
 
 
 def load_model(text: str | bytes) -> NetworkModel:
-    """Parse and shape-check a model document."""
+    """Parse and shape-check a model document; bytes may start with a UTF-8
+    byte-order mark."""
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        doc = json.loads(text.decode("utf-8-sig") if isinstance(text, bytes) else text)
     except ValueError as exc:  # also bad UTF-8 and an integer too long to read
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:

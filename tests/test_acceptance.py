@@ -15,16 +15,15 @@ from conftest import ball_norm, toy_conv_model
 from ewrobust.cli import main as cli_main
 from ewrobust.decision import (SAT, UNSAT, RobustnessQuery, decide,
                                decide_with_source, evaluate, model_source)
-from ewrobust.gadgets import (CnfFormula, _assignment_table, build_gadget,
-                              corner_source, count_satisfying, satisfies,
-                              threshold_classifier, threshold_fraction)
+from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import dump_model, predict
 from ewrobust.prng import derive_subseed
 from ewrobust.sampling import L1, L2, LINF, NORMS, BallSpec, sample_batch
 from ewrobust.special import inv_norm_cdf, norm_cdf
 from ewrobust.stats import ErrorBudget, TestPlan, early_accept, early_reject, plan_test
-from test_decision import bernoulli_source, stub_oracle
-from test_stats import oracle_plan
+from oracles import (_assignment_table, bernoulli_source, corner_source, count_satisfying,
+                     oracle_plan, satisfies, stub_oracle, threshold_classifier,
+                     threshold_fraction)
 
 
 def report(num: int, ok: bool, details: str) -> None:

@@ -11,8 +11,9 @@ from ewrobust import cli, decision, sampling, stats
 from ewrobust.cli import main
 from ewrobust.data import write_report
 from ewrobust.decision import SAT, UNSAT, Verdict
-from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
+from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import Dense, NetworkModel, Relu, dump_model, load_model, predict
+from oracles import threshold_classifier
 
 
 @pytest.fixture
@@ -416,6 +417,22 @@ class TestGadget:
         want = build_gadget(CnfFormula(2, ((1, 2),)))
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert np.array_equal(predict(model, corners), predict(want, corners))
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # once read as clause data before the header: exit 2
+        outputs = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            path = tmp_path / f"{name}.cnf"
+            path.write_text(mark + "c two clauses\np cnf 3 2\n1 -2 0\n2 3 0\n", encoding="utf-8")
+            assert main(["gadget", "--cnf", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_byte_order_mark_after_the_start_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 1\n\ufeff1 2 0\n", encoding="utf-8")
+        assert main(["gadget", "--cnf", str(path)]) == 2
+        assert "non-integer token" in capsys.readouterr().err
 
     def test_malformed_cnf(self, tmp_path, capsys):
         cnf_path = tmp_path / "bad.cnf"

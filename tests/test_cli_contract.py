@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from conftest import toy_conv_model
 from ewrobust import sampling
 from ewrobust.cli import main
-from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import dump_model, predict
+from oracles import threshold_classifier
 
 
 
@@ -61,6 +61,10 @@ BAD_MODELS = {
     "dense_stride": model_doc({**DENSE, "stride": -1}),
     "top_level_extra": json.dumps({**json.loads(model_doc(DENSE)), "extra": 1}),
 }
+# a copy of each accepted input file behind a UTF-8 byte-order mark, as
+# spreadsheet exports and some editors write it
+MARKED = {"model": "marked_model", "center": "marked_center", "inputs": "marked_inputs",
+          "labels": "marked_labels", "cnf": "marked_cnf"}
 DROP = object()    # mutation: leave the flag out
 SWITCH = object()  # a flag that takes no value
 
@@ -78,8 +82,9 @@ def files(tmp_path_factory):
         "empty": "",
         **BAD_MODELS,
     }
+    paths.update({marked: "\ufeff" + paths[name] for name, marked in MARKED.items()})
     for name, text in paths.items():
-        (root / name).write_text(text)
+        (root / name).write_text(text, encoding="utf-8")
     out = {name: str(root / name) for name in paths}
     out["missing"] = str(root / "missing")
     out["dir"] = str(root)
@@ -87,10 +92,11 @@ def files(tmp_path_factory):
     return out
 
 
-def run(argv):
-    """(exit code, stderr) of one in-process CLI call; a warning fails it."""
+def run(argv, out=None):
+    """(exit code, stderr) of one in-process CLI call, its stdout going to
+    out when given; a warning fails it."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv)
@@ -100,12 +106,13 @@ def run(argv):
 def values(f):
     """Candidate values of every flag: valid, invalid and non-finite ones."""
     return {
-        "--model": (f["model"], f["empty"], f["missing"], f["cnf"],
+        "--model": (f["model"], f["marked_model"], f["empty"], f["missing"], f["cnf"],
                     *(f[name] for name in BAD_MODELS)),
-        "--input": (f["center"], f["inputs"], f["empty"], f["missing"]),
-        "--dataset": (f["inputs"], f["center"], f["empty"], f["missing"]),
-        "--labels": (f["labels"], f["empty"], f["inputs"], f["missing"]),
-        "--cnf": (f["cnf"], f["bad_cnf"], f["empty"], f["missing"], f["model"]),
+        "--input": (f["center"], f["marked_center"], f["inputs"], f["empty"], f["missing"]),
+        "--dataset": (f["inputs"], f["marked_inputs"], f["center"], f["empty"], f["missing"]),
+        "--labels": (f["labels"], f["marked_labels"], f["empty"], f["inputs"], f["missing"]),
+        "--cnf": (f["cnf"], f["marked_cnf"], f["bad_cnf"], f["empty"], f["missing"],
+                  f["model"]),
         "--out": (f["out"], f["dir"]),
         "--shape": ("2", "1,2", "2,1", "3", "0", "-1", "x", ""),
         "--index": ("0", "3", "-1", "4", "x"),
@@ -216,6 +223,23 @@ def test_fuzzed_argv_exits_0_2_or_3(files, data):
     rc, err = run(argv)
     assert rc in (0, 2, 3), (argv, rc, err)
     assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_leading_byte_order_mark_gives_the_same_output(files, tmp_path, command):
+    # each marked file was once refused with exit code 3, or 2 for a CNF
+    flags = base(files, command)
+    if command == "sample":
+        flags["--input"] = files["center"]
+    copies = {files[name]: files[marked] for name, marked in MARKED.items()}
+    runs = []
+    for marked in (False, True):
+        report, out = tmp_path / f"{marked}.out", io.StringIO()
+        argv = {flag: copies.get(value, value) if marked else value
+                for flag, value in flags.items()}
+        rc, err = run(to_argv(command, {**argv, "--out": str(report)}), out)
+        runs.append((rc, err, out.getvalue(), report.read_bytes()))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 # the normal quantile of a deep-subnormal alpha once overflowed math.exp

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from conftest import random_dense_model
 from ewrobust import decision, nn, stats
 from ewrobust.decision import (SAT, UNSAT, CenterMisclassifiedError,
-                               RadiusResult, RobustnessQuery, Verdict, decide,
+                               RadiusResult, RobustnessQuery, decide,
                                decide_with_source, evaluate, model_source,
                                point_check)
-from ewrobust.gadgets import threshold_classifier
 from ewrobust.nn import Dense, NetworkModel, indicative, label_mask
-from ewrobust.prng import derive_subseed, uniforms
+from ewrobust.prng import derive_subseed
 from ewrobust.sampling import BallSpec, sample_batch
 from ewrobust.stats import ErrorBudget, TestPlan, plan_test
+from oracles import bernoulli_source, stub_oracle, threshold_classifier
 
 BUDGET = ErrorBudget(0.001, 0.001)
 PLAN = plan_test(0.01, BUDGET)  # the CLI defaults: N = 891
@@ -36,12 +36,6 @@ def query_for(model, *, center=None, radius=0.5, norm="inf", clamp=None, omega=(
     center = np.zeros(model.input_shape) if center is None else center
     return RobustnessQuery(model, BallSpec(center, radius, norm, clamp), frozenset(omega),
                            plan, seed, **kw)
-
-
-def bernoulli_source(p: float, seed: int):
-    def source(indices):
-        return (uniforms(seed, indices, 1)[:, 0] < p).astype(np.int64)
-    return source
 
 
 class TestQueryValidation:
@@ -323,15 +317,6 @@ class TestPointCheck:
         monkeypatch.setattr(nn, "label_mask", lambda *a: calls.append(a))
         assert point_check(q) and not point_check(moved)
         assert calls == []
-
-
-def stub_oracle(r_true: float):
-    """Noiseless oracle: SAT exactly below r_true."""
-    plan = TestPlan(0.5, 0.25, 9, 0.6)
-    def oracle(r: float) -> Verdict:
-        d = SAT if r <= r_true else UNSAT
-        return Verdict(d, 9, 9, plan, "early_accept" if d == SAT else "early_reject")
-    return oracle
 
 
 # (r_true, radius_max, precision) -> probe count, r_star, and a digest of

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewrobust.gadgets import (CnfFormula, DimacsError, _assignment_table, build_gadget,
-                              corner_source, count_satisfying, parse_dimacs, satisfies,
-                              threshold_classifier, threshold_fraction)
+from ewrobust.gadgets import CnfFormula, DimacsError, build_gadget, parse_dimacs
 from ewrobust.nn import NetworkModel, predict
+from oracles import (_assignment_table, corner_source, count_satisfying, satisfies,
+                     threshold_classifier, threshold_fraction)
 
 EXAMPLE = "c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n"
 

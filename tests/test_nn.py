@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import random_dense_model, toy_conv_model
 from ewrobust import nn
-from ewrobust.gadgets import CnfFormula, build_gadget, threshold_classifier
+from ewrobust.gadgets import CnfFormula, build_gadget
 from ewrobust.nn import (Conv2d, Dense, Flatten, MaxPool2d, ModelFormatError,
                          NetworkModel, Normalize, NumericOverflowError, Relu,
                          ShapeMismatchError, dump_model, forward, indicative,
                          label_mask, load_model, predict)
+from oracles import threshold_classifier
 
 
 def dense_model(weight, bias):
@@ -1321,6 +1322,16 @@ class TestModelFormat:
             load_model(b"\xff\xfe{}")
         assert str(info.value) == ("invalid JSON: 'utf-8' codec can't decode byte 0xff "
                                    "in position 0: invalid start byte")
+
+    def test_leading_byte_order_mark_is_ignored(self, rng):
+        text = dump_model(toy_conv_model(rng))
+        assert dump_model(load_model(b"\xef\xbb\xbf" + text.encode())) == text
+
+    @pytest.mark.parametrize("prefix", [b" \xef\xbb\xbf", b"\xef\xbb\xbf\xef\xbb\xbf"],
+                             ids=["after a space", "twice"])
+    def test_byte_order_mark_after_the_start_is_format_error(self, prefix):
+        with pytest.raises(ModelFormatError, match="^invalid JSON: "):
+            load_model(prefix + b'{"input_shape": [1], "num_labels": 2, "layers": []}')
 
     def test_integer_too_long_to_read_is_format_error(self):
         # Python refuses to read an int of more than 4300 digits by default

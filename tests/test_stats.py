@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,25 +7,7 @@ from hypothesis import strategies as st
 
 from ewrobust.stats import (ErrorBudget, TestPlan, choose_epsilon_prime, early_accept,
                             early_reject, plan_test, sat_probability)
-
-mp.mp.dps = 50
-
-
-def oracle_plan(eps, alpha, beta, eps_prime=None):
-    """Arbitrary-precision evaluation of the sample-size and threshold
-    formulas, independent of the float64 implementation."""
-    eps, alpha, beta = mp.mpf(eps), mp.mpf(alpha), mp.mpf(beta)
-    if eps_prime is None:
-        eps_prime = eps - min(eps * (1 - eps), mp.mpf("0.005"))
-    else:
-        eps_prime = mp.mpf(eps_prime)
-    z_a = mp.sqrt(2) * mp.erfinv(2 * alpha - 1)
-    z_b = mp.sqrt(2) * mp.erfinv(2 * (1 - beta) - 1)
-    ratio = (eps * (1 - eps) * z_b - eps_prime * (1 - eps_prime) * z_a) / (eps - eps_prime)
-    sqrt_n = max(ratio, 3 * mp.sqrt((1 - eps) / eps))
-    n = int(mp.ceil(sqrt_n ** 2))
-    c = eps * (1 - eps) * z_b / mp.sqrt(n) + (1 - eps)
-    return n, float(c)
+from oracles import oracle_plan
 
 
 class TestChooseEpsilonPrime:

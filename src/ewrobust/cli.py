@@ -148,14 +148,15 @@ def _load_point(args, radius=0.0):
     return _query(args, model, plan, center, omega, args.seed, radius), gold
 
 
-def _load_sweep(args, seed_of):
+def _load_sweep(args):
     """Model, inputs and labels of curve/radii, and each dataset point's
-    query: its omega is --omega, else the point's gold label, and its seed
-    seed_of(point index)."""
+    query: its omega is --omega, else the point's gold label, and point p's
+    seed is derive_subseed(--seed, p)."""
     plan = _checked_plan(args)
     model = _load_model_file(args)
     inputs, labels = load_dataset(args.dataset, args.labels, model.input_shape, model.num_labels)
-    queries = [_query(args, model, plan, center, args.omega or {int(gold)}, seed_of(pid))
+    queries = [_query(args, model, plan, center, args.omega or {int(gold)},
+                      derive_subseed(args.seed, pid))
                for pid, (center, gold) in enumerate(zip(inputs, labels))]
     return model, inputs, labels, queries
 
@@ -219,8 +220,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    # each radius draws from its own sub-seeds, so the queries' seed is unused
-    model, inputs, labels, queries = _load_sweep(args, lambda pid: args.seed)
+    model, inputs, labels, queries = _load_sweep(args)
 
     keep = list(range(len(labels)))
     if args.correct_only:
@@ -247,7 +247,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    _, _, labels, queries = _load_sweep(args, lambda pid: derive_subseed(args.seed, pid))
+    _, _, labels, queries = _load_sweep(args)
 
     rows = []
     by_class: dict[int, list[float]] = {}

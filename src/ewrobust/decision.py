@@ -29,6 +29,12 @@ class CenterMisclassifiedError(ValueError):
     """Radius evaluation requires the center itself to be accepted."""
 
 
+def _check_batch_size(batch_size) -> None:
+    if (not isinstance(batch_size, (int, np.integer)) or isinstance(batch_size, bool)
+            or batch_size < 1):
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+
+
 @dataclass(frozen=True)
 class RobustnessQuery:
     """One decision: sample the ball, accept a sample whose label lies in
@@ -45,8 +51,7 @@ class RobustnessQuery:
     def __post_init__(self):
         object.__setattr__(self, "omega", frozenset(int(l) for l in self.omega))
         object.__setattr__(self, "mask", label_mask(self.model, self.omega))
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        _check_batch_size(self.batch_size)
 
     def at_radius(self, radius: float, seed: int) -> RobustnessQuery:
         """This query at another radius and seed, as a bisection probe: only
@@ -102,6 +107,7 @@ def decide_with_source(plan: TestPlan, source: IndicativeSource,
     end before N lies at least batch_size below N, so a SAT verdict draws
     exactly N whenever F <= batch_size.
     """
+    _check_batch_size(batch_size)
     successes = 0
     drawn = 0
     count = first_batch_size(plan, batch_size)

@@ -605,20 +605,28 @@ def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.n
 # {"input_shape": [...], "num_labels": m,
 #  "layers": [{"kind": "dense", "weight": [[...]], "bias": [...]}, ...]}
 #
-# The document holds NetworkModel's fields and a layer its kind and its
-# class's fields, and no other key; a field with a default may be left out.
-# Weights are nested row-major lists, for desk-scale models: the format is
-# plain text and grows ~20 bytes per parameter.
+# A document, a str or UTF-8 bytes after at most one byte-order mark, holds
+# NetworkModel's fields and a layer its kind and its class's fields, and no
+# other key; a field with a default may be left out.  _from_json reads them
+# and _to_json writes them.  Weights are nested row-major lists, for desk-scale
+# models: the format is plain text and grows ~20 bytes per parameter.
 
 _LAYER_KINDS = {cls.kind: cls for cls in LayerSpec.__args__}
 
 
-def _from_json(cls, obj, where: str, **read):
-    """cls built from the JSON object obj, which gives each field without a
-    default and no other key; a field named in read is read through it.  A
+def _from_json(obj, where: str, cls=None):
+    """cls, or the layer of obj's kind when cls is None, built from the JSON
+    object obj (see above); NetworkModel's layers are a list of layers.  A
     ValueError not yet a ModelError becomes a ModelFormatError at where."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: must be an object")
+    if cls is None:
+        if "kind" not in obj:
+            raise ModelFormatError(f"{where}: missing field 'kind'")
+        cls = _LAYER_KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+        if cls is None:
+            raise ModelFormatError(f"{where}: unknown kind {obj['kind']!r}")
+        obj = {key: value for key, value in obj.items() if key != "kind"}
     for f in fields(cls):
         if f.name not in obj and f.default is MISSING:
             raise ModelFormatError(f"{where}: missing field {f.name!r}")
@@ -626,52 +634,41 @@ def _from_json(cls, obj, where: str, **read):
     if unknown:
         raise ModelFormatError(f"{where}: unknown field {unknown[0]!r}")
     try:
-        return cls(**{key: read[key](value) if key in read else value
-                      for key, value in obj.items()})
+        if cls is NetworkModel:
+            if not isinstance(obj["layers"], list):
+                raise ValueError("layers must be a list")
+            obj = {**obj, "layers": [_from_json(layer, f"layer {idx}")
+                                     for idx, layer in enumerate(obj["layers"])]}
+        return cls(**obj)
     except ModelError:
         raise
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 
 
-def _layer_from_json(obj, idx) -> LayerSpec:
-    where = f"layer {idx}"
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where}: must be an object")
-    if "kind" not in obj:
-        raise ModelFormatError(f"{where}: missing field 'kind'")
-    cls = _LAYER_KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if cls is None:
-        raise ModelFormatError(f"{where}: unknown kind {obj['kind']!r}")
-    return _from_json(cls, {key: value for key, value in obj.items() if key != "kind"}, where)
-
-
-def _layers_from_json(layers) -> tuple[LayerSpec, ...]:
-    if not isinstance(layers, list):
-        raise ValueError("layers must be a list")
-    return tuple(_layer_from_json(obj, idx) for idx, obj in enumerate(layers))
-
-
-def _layer_to_json(layer: LayerSpec) -> dict:
-    return {"kind": layer.kind,
-            **{f.name: np.asarray(getattr(layer, f.name)).tolist() for f in fields(layer)}}
+def _to_json(obj) -> dict:
+    """obj's JSON object: a layer's kind, then each field in order, arrays and
+    tuples as nested lists and a model's layers as layer objects."""
+    doc = {} if isinstance(obj, NetworkModel) else {"kind": obj.kind}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = ([_to_json(layer) for layer in value] if f.name == "layers"
+                       else np.asarray(value).tolist())
+    return doc
 
 
 def load_model(text: str | bytes) -> NetworkModel:
-    """Parse and shape-check a model document; bytes may start with a UTF-8
-    byte-order mark."""
+    """Parse and shape-check a model document (see above)."""
     try:
-        doc = json.loads(text.decode("utf-8-sig") if isinstance(text, bytes) else text)
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
+        doc = json.loads(text.removeprefix("\ufeff"))
     except ValueError as exc:  # also bad UTF-8 and an integer too long to read
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("invalid JSON: nested too deeply") from None
-    return _from_json(NetworkModel, doc, "top-level", layers=_layers_from_json)
+    return _from_json(doc, "top-level", NetworkModel)
 
 
 def dump_model(model: NetworkModel) -> str:
-    return json.dumps({
-        "input_shape": list(model.input_shape),
-        "num_labels": model.num_labels,
-        "layers": [_layer_to_json(l) for l in model.layers],
-    })
+    return json.dumps(_to_json(model))

@@ -48,6 +48,8 @@ class TestPlan:
     reject_failures: int = field(init=False)   # F = N - K + 1
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.epsilon_prime < self.epsilon:
             raise ValueError("epsilon_prime must lie in (0, epsilon)")
         if self.N < 9.0 * (1.0 - self.epsilon) / self.epsilon - 1e-9:

@@ -60,6 +60,12 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             query_for(constant_model(0), batch_size=0)
 
+    @pytest.mark.parametrize("batch_size", [2.5, 3.0, True, np.float64(4.0)])
+    def test_non_integer_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="^batch_size must be an integer >= 1"):
+            query_for(constant_model(0), batch_size=batch_size)
+        assert query_for(constant_model(0), batch_size=np.int64(3)).batch_size == 3
+
     @pytest.mark.parametrize("clamp", [(1.0, 0.0), (0.0, 0.0), (math.nan, 1.0),
                                        (0.0, math.nan)])
     def test_unordered_or_nan_clamp_raises_at_construction(self, clamp):
@@ -160,6 +166,21 @@ class TestDecideWithSource:
             full = int(source(np.arange(plan.N, dtype=np.uint64)).sum())
             expect = SAT if full >= plan.c * plan.N else UNSAT
             assert verdict.decision == expect
+
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, True])
+    def test_bad_batch_size_is_refused(self, batch_size):
+        # a bounded source: a batch size that loops forever fails, not hangs
+        calls = []
+
+        def source(indices):
+            calls.append(indices.size)
+            if len(calls) > 100:
+                raise RuntimeError("source called more than 100 times")
+            return np.ones(indices.size, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^batch_size must be an integer >= 1, "
+                                             f"got {batch_size!r}$"):
+            decide_with_source(PLAN, source, batch_size=batch_size)
+        assert not calls
 
 
 def recording(source):

@@ -1326,6 +1326,15 @@ class TestModelFormat:
     def test_leading_byte_order_mark_is_ignored(self, rng):
         text = dump_model(toy_conv_model(rng))
         assert dump_model(load_model(b"\xef\xbb\xbf" + text.encode())) == text
+        assert dump_model(load_model(bytearray(b"\xef\xbb\xbf" + text.encode()))) == text
+
+    def test_leading_byte_order_mark_in_a_str_is_ignored(self, rng):
+        text = dump_model(toy_conv_model(rng))
+        assert dump_model(load_model("\ufeff" + text)) == text
+        # one mark, at the start only, as for bytes
+        for prefix in (" \ufeff", "\ufeff\ufeff"):
+            with pytest.raises(ModelFormatError, match="^invalid JSON: "):
+                load_model(prefix + text)
 
     @pytest.mark.parametrize("prefix", [b" \xef\xbb\xbf", b"\xef\xbb\xbf\xef\xbb\xbf"],
                              ids=["after a space", "twice"])

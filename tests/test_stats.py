@@ -203,3 +203,10 @@ def test_test_plan_invariants():
         TestPlan(0.5, 0.6, 100, 0.7)  # eps' >= eps
     with pytest.raises(ValueError):
         TestPlan(0.5, 0.25, 4, 0.7)  # violates large-sample bound
+
+
+@pytest.mark.parametrize("epsilon,epsilon_prime", [(1.5, 1.2), (1.0, 0.5), (0.0, 0.0),
+                                                   (math.nan, 0.5)])
+def test_test_plan_epsilon_outside_unit_interval(epsilon, epsilon_prime):
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+        TestPlan(epsilon, epsilon_prime, 10, 0.5)

@@ -178,6 +178,8 @@ def _run_metadata(args, plan=None) -> list[str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_decide(args) -> int:
+    if args.timings and not args.out:  # the column lives only in the report
+        raise UsageError("--timings needs --out")
     query, gold = _load_point(args, args.radius)
     plan = query.plan
     t0 = time.perf_counter()

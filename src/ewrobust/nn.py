@@ -1,11 +1,11 @@
 """Minimal deterministic feed-forward inference.
 
 Six layer kinds (dense, relu, conv2d, maxpool2d, flatten, normalize) over
-float64 numpy arrays (conv2d, relu, maxpool2d and flatten also run in
-float32 for `indicative`), plus a JSON model format.  Every output row of
-`forward` is a function of its input row alone, so a batch of k rows is
-bitwise identical to k single-row passes regardless of how callers batch
-their inputs.
+float64 numpy arrays, plus a JSON model format.  Each layer's `apply` is its
+exact op for any input dtype, and only the fast pass of `indicative` runs a
+float32 conv.  Every output row of `forward` is a function of its input row
+alone, so a batch of k rows is bitwise identical to k single-row passes
+regardless of how callers batch their inputs.
 
 Dense is an exact split product through the BLAS (Ozaki, Ogita, Oishi &
 Rump, Numer. Algorithms 2012): each row of the input and of the weight is
@@ -23,19 +23,21 @@ accumulation order: bias, then each input channel and kernel offset in turn.
 `indicative` needs only each row's argmax, and takes it from one fast pass
 over every layer with one bound d, |x^ - x| <= d elementwise between a fast
 value x^ and forward's x, from d = 0.  While d = 0 the pass holds forward's
-own values, so relu, maxpool2d, flatten and normalize run forward's ops, and
-the output of the first layer and of each normalize must be finite, as
-forward checks (a later relu or maxpool may drop a -inf there).  Normalize
-has no bound for d > 0.  Relu and maxpool are 1-Lipschitz elementwise and
-flatten is a reshape, so they keep d.  A dense runs as a plain float64 gemm,
-a conv in float32 (u' = 2**-24, g'_k = k u' / (1 - k u')) as an sgemm over
-the im2col of its input.  The BLAS may flush subnormal results and inputs to
-0 (FTZ/DAZ), each off by less than 2**-126 in float32 and 2**-1022 in
-float64.  A float64 input that meets a conv is cast to float32, which errs
-by at most u' |x^| in float32's normal range and by less than 2**-126 below
-it, flushed or not, so d grows by u' M there, M = max|x^| over the batch,
-by 2**-126 wherever an input enters a conv and by 2**-1022 wherever one
-enters a dense.
+own values, so relu, maxpool2d, flatten and normalize run forward's ops.
+`forward` checks every layer's output, but relu, maxpool2d and flatten make
+no new values, so at d = 0 only the first layer's output and each
+normalize's can be the first non-finite one, and the fast pass checks those
+(a later relu or maxpool may drop a -inf there).  Normalize has no bound for
+d > 0.  Relu and maxpool are 1-Lipschitz elementwise and flatten is a
+reshape, so they keep d.  A dense runs as a plain float64 gemm, a conv
+(`Conv2d._fast_apply`) in float32 (u' = 2**-24, g'_k = k u' / (1 - k u')) as
+an sgemm over the im2col of its input.  The BLAS may flush subnormal results
+and inputs to 0 (FTZ/DAZ), each off by less than 2**-126 in float32 and
+2**-1022 in float64.  A float64 input that meets a conv is cast to float32,
+which errs by at most u' |x^| in float32's normal range and by less than
+2**-126 below it, flushed or not, so d grows by u' M there, M = max|x^| over
+the batch, by 2**-126 wherever an input enters a conv and by 2**-1022
+wherever one enters a dense.
 
 A dense or conv layer of k terms per output (k = n, the dense's input
 width, or ic kh kw) computes W x + b.  Let M = max|x^| of its input over
@@ -287,7 +289,7 @@ class Conv2d:
     @functools.cached_property
     def _float32_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """The weight as a contiguous (oc, ic kh kw) matrix and the bias in
-        float32, made on the first float32 call and kept on the layer."""
+        float32, made on the first fast call and kept on the layer."""
         oc, k = self.weight.shape[0], math.prod(self.weight.shape[1:])
         with np.errstate(over="ignore"):
             weight, bias = self.weight.astype(np.float32), self.bias.astype(np.float32)
@@ -302,25 +304,28 @@ class Conv2d:
         return _bound_scalars(self.weight, self.bias, c, (k + 1) * 2.0 ** -124, 2.0 ** 126)
 
     def apply(self, x):
-        # rows innermost: the input is laid out (C, H, W, n) and the output
-        # (oc, oh, ow, n), returned as a batch-first transposed view.  A
-        # float32 input runs in float32 through im2col and the BLAS, any
-        # other in float64 through the fixed-order tile kernel.
-        oc, ic, kh, kw = self.weight.shape
+        # float64 through the fixed-order tile kernel, whatever the dtype of x
+        return self._rows_innermost(x, np.float64, self._tiles)
+
+    def _fast_apply(self, x):
+        """The fast pass's conv: float32 through im2col and the BLAS."""
+        return self._rows_innermost(x, np.float32, self._im2col)
+
+    def _rows_innermost(self, x, dtype, kernel):
+        """kernel(xt, out) with the input laid out (C, H, W, n) in dtype and
+        padded, and the output (oc, oh, ow, n), returned as a batch-first
+        transposed view."""
+        oc, ic = self.weight.shape[:2]
         ph, pw = self.padding
         _, oh, ow = self.out_shape(x.shape[1:])
         n, _, h, w = x.shape
-        dtype = np.float32 if x.dtype == np.float32 else np.float64
         if ph or pw:
             xt = np.zeros((ic, h + 2 * ph, w + 2 * pw, n), dtype)
             xt[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
         else:  # no copy when x is the view a conv or relu returned
             xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0), dtype)
         out = np.empty((oc, oh, ow, n), dtype)
-        if dtype == np.float32:
-            self._im2col(xt, out)
-        else:
-            self._tiles(xt, out)
+        kernel(xt, out)
         return out.transpose(3, 0, 1, 2)
 
     def _im2col(self, xt, out):
@@ -492,11 +497,6 @@ class NetworkModel:
                 f"network output shape {shape} does not match num_labels={self.num_labels}")
 
 
-# layers whose output is finite wherever their input is: max, relu and
-# reshape make no new values
-_KEEPS_FINITE = frozenset({"relu", "maxpool2d", "flatten"})
-
-
 def _as_rows(model: NetworkModel, batch) -> np.ndarray:
     """batch as float64 rows of the model's input shape; one input is one row."""
     batch = np.asarray(batch, dtype=np.float64)
@@ -511,21 +511,15 @@ def _as_rows(model: NetworkModel, batch) -> np.ndarray:
 def forward(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
     """Logits of shape (batch, num_labels); raises on shape mismatch or
     non-finite intermediates, naming the first layer with a non-finite
-    output.  Once a layer's output is checked finite, relu, maxpool2d and
-    flatten are not checked until the next dense, conv2d or normalize: the
-    first non-finite output can only come from one of those."""
+    output."""
     x = _as_rows(model, batch)
-    finite = False  # x is known to be finite
     # overflow surfaces as the NumericOverflowError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, layer in enumerate(model.layers):
             x = layer.apply(x)
-            if finite and layer.kind in _KEEPS_FINITE:
-                continue
             if not np.isfinite(x).all():
                 raise NumericOverflowError(
                     f"non-finite value after layer {idx} ({layer.kind})")
-            finite = True
     return x
 
 
@@ -574,7 +568,7 @@ def _fast(model: NetworkModel, batch: np.ndarray):
             return None
         d = (wsum * d + c * s + under * (1 + m)) * grow
         if layer.kind == "conv2d":
-            x = layer.apply(x)
+            x = layer._fast_apply(x)
             continue
         x = np.ascontiguousarray(x, np.float64) @ layer.weight.T
         x += layer.bias

@@ -199,6 +199,14 @@ class TestDecide:
               "--alpha", "0.05", "--beta", "0.05", "--timings", "--out", str(out)])
         assert "wall_time_s" in body_lines(out)[0]
 
+    def test_timings_without_out_is_usage_error(self, threshold_model_file, center_file,
+                                                capsys):
+        # the column goes only into the report, so without one nothing is timed
+        rc = main(["decide", "--model", threshold_model_file, "--input", center_file,
+                   "--radius", "0.2", "--eps", "0.2", "--eps-prime", "0.1", "--timings"])
+        assert rc == 2
+        assert capsys.readouterr().err == "usage error: --timings needs --out\n"
+
     # in [0, 1], a quarter of the samples have x0 > 0.5; in [0, 0.4], none
     @pytest.mark.parametrize("clamp,bounds,expect", [
         ("0,1", (0.0, 1.0), UNSAT), ("0,0.4", (0.0, 0.4), SAT)], ids=["0,1", "0,0.4"])

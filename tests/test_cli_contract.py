@@ -309,6 +309,8 @@ BEFORE_FILES = {
     "decide input with dataset": ["decide", "--dataset", "inputs"],
     "decide input with index": ["decide", "--index", "0"],
     "decide input with labels": ["decide", "--labels", "labels"],
+    # once exited 0 and timed nothing
+    "decide timings without out": ["decide", "--timings", SWITCH, "--out", DROP],
     "evaluate input with dataset and index": ["evaluate", "--dataset", "inputs", "--index", "0"],
     "evaluate clamp": ["evaluate", "--clamp", "nan,1"],
     "evaluate omega": ["evaluate", "--omega", ""],

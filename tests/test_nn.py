@@ -467,12 +467,29 @@ class TestConvAndPoolSemantics:
         assert np.array_equal(got, layer.apply(x))
         assert np.array_equal(got, self._broadcast_conv(layer, x))
 
-    def _float32_conv(self, monkeypatch, layer, x, budget, own_thread):
-        """layer.apply(x) at a tile budget (None keeps the default), on the
-        main thread or, with own_thread, on a thread of its own."""
+    @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1))])
+    @pytest.mark.parametrize("budget", [1, 2000, None])
+    def test_float32_input_runs_the_float64_tile_conv(self, rng, monkeypatch, stride, pad,
+                                                      budget):
+        # apply is the exact conv whatever the input's dtype: a float32 input
+        # gives the float64 kernel's bits, as float64, at every tile budget
         if budget is not None:
             monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
-        got = self._on_own_thread(lambda: layer.apply(x)) if own_thread else layer.apply(x)
+        layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride, pad)
+        x = rng.normal(size=(7, 2, 11, 9)).astype(np.float32)
+        got = layer.apply(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, layer.apply(x.astype(np.float64)))
+        assert np.array_equal(got, self._broadcast_conv(layer, x.astype(np.float64)))
+
+    def _float32_conv(self, monkeypatch, layer, x, budget, own_thread):
+        """The fast pass's conv of x at a tile budget (None keeps the
+        default), on the main thread or, with own_thread, on a thread of its
+        own."""
+        if budget is not None:
+            monkeypatch.setattr(nn, "_CONV_TILE_BYTES", budget)
+        conv = layer._fast_apply
+        got = self._on_own_thread(lambda: conv(x)) if own_thread else conv(x)
         assert got.dtype == np.float32
         return got
 
@@ -559,16 +576,17 @@ class TestConvAndPoolSemantics:
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with BLAS threads
     def test_convs_in_forked_child_equal_parents(self, rng, monkeypatch):
         # the parent has run both kernels, so the BLAS may hold threads the
-        # child does not inherit; the child's float64 and float32 convs must
-        # finish with the parent's bits
+        # child does not inherit; the child's float64 conv and the fast
+        # pass's float32 conv must finish with the parent's bits
         monkeypatch.setattr(nn, "_CONV_TILE_BYTES", 2000)
         layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), (1, 1), (0, 0))
         x = rng.normal(size=(7, 2, 11, 9))
-        want, want32 = layer.apply(x), layer.apply(x.astype(np.float32))
+        want, want32 = layer.apply(x), layer._fast_apply(x.astype(np.float32))
+        assert want32.dtype == np.float32
         pid = os.fork()
         if pid == 0:  # child: exit without returning into pytest
             same = (np.array_equal(layer.apply(x), want)
-                    and np.array_equal(layer.apply(x.astype(np.float32)), want32))
+                    and np.array_equal(layer._fast_apply(x.astype(np.float32)), want32))
             os._exit(0 if same else 1)
         deadline = time.monotonic() + 30
         while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
@@ -930,8 +948,9 @@ class TestFastIndicative:
 
     def test_conv_prefix_runs_in_float32(self, rng, monkeypatch):
         # every array from the first conv to the first dense stays float32,
-        # also after a normalize, which runs in float64; the cast weights are
-        # made on the first fast call, not at load or by forward, and kept
+        # also after a normalize, which runs in float64; each conv runs the
+        # fast pass's own entry, and its cast weights are made on the first
+        # fast call, not at load or by forward, and kept
         for lead in ((), (Normalize(np.array([0.5]), np.array([2.0])),)):
             layers = (*lead,
                       Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
@@ -947,12 +966,13 @@ class TestFastIndicative:
             convs = [layer for layer in model.layers if layer.kind == "conv2d"]
             assert not any("_float32_terms" in vars(conv) for conv in convs)
             seen = []
-            for cls in (Conv2d, Relu, MaxPool2d, Flatten, Normalize):
-                def spy(layer, x, apply=cls.apply):
+            for cls, name in ((Conv2d, "_fast_apply"), (Relu, "apply"), (MaxPool2d, "apply"),
+                              (Flatten, "apply"), (Normalize, "apply")):
+                def spy(layer, x, apply=getattr(cls, name)):
                     out = apply(layer, x)
                     seen.append((layer.kind, x.dtype, out.dtype))
                     return out
-                monkeypatch.setattr(cls, "apply", spy)
+                monkeypatch.setattr(cls, name, spy)
             got = indicative(model, batch, mask)
             monkeypatch.undo()
             assert np.array_equal(got, mask[predict(model, batch)])

@@ -72,6 +72,7 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite positive numbe
 _SHAPE = _checked(_split(int), lambda s: min(s) > 0, "positive integers like 3,32,32")
 _OMEGA = _checked(lambda text: frozenset(_split(int)(text)), lambda v: True,
                   "integer labels like 1,9")
+_OUT = _checked(str, bool, "a non-empty path")  # "" is a bad path, not an absent --out
 _CLAMP = _checked(_split(float), lambda b: len(b) == 2 and b[0] < b[1], "lo,hi with lo < hi")
 _RADII = _checked(_split(float), lambda rs: all(0 <= r < math.inf for r in rs),
                   "finite non-negative radii like 0.1,0.2")
@@ -326,7 +327,7 @@ def _add_common(sub, *, sweep=False):
     sub.add_argument("--norm", default="inf", choices=sampling.NORMS, help="ball norm")
     sub.add_argument("--seed", type=_INDEX, default=0, help="64-bit stream seed")
     sub.add_argument("--clamp", type=_CLAMP, help="clip samples into lo,hi (changes the measure)")
-    sub.add_argument("--out", help="CSV output path (default: stdout where applicable)")
+    sub.add_argument("--out", type=_OUT, help="CSV output path (default: stdout where applicable)")
     sub.add_argument("--eps", type=float, required=True,
                      help="tolerated wrong-classification fraction in (0,1)")
     sub.add_argument("--eps-prime", type=float, default=None,
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gadget", help="compile DIMACS CNF into a gadget model file")
     p.add_argument("--cnf", required=True, help="DIMACS CNF path")
-    p.add_argument("--out", help="model file output path (default: stdout)")
+    p.add_argument("--out", type=_OUT, help="model file output path (default: stdout)")
     p.set_defaults(func=cmd_gadget)
 
     p = subs.add_parser("sample", help="dump raw ball samples as CSV")
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_SHAPE, required=True, help="tensor shape, e.g. 784 or 3,32,32")
     p.add_argument("--input", help="center point CSV (default: origin)")
     p.add_argument("--clamp", type=_CLAMP, help="clip samples into lo,hi")
-    p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.add_argument("--out", type=_OUT, help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_sample)
     return parser
 

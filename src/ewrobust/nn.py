@@ -20,10 +20,14 @@ g_6 (20 sum|x w| + |b|), since a row's slices sum in magnitude to at most
 8 n 2**(-3 bits) 2**(e_x + e_w).  A float64 conv keeps an explicit fixed
 accumulation order: bias, then each input channel and kernel offset in turn.
 
-`indicative` needs only each row's argmax, and takes it from one fast pass
-over every layer with one bound d, |x^ - x| <= d elementwise between a fast
-value x^ and forward's x, from d = 0.  While d = 0 the pass holds forward's
-own values, so relu, maxpool2d, flatten and normalize run forward's ops.
+`indicative` needs only each row's argmax, and takes it from a fast pass
+over every layer, one per block of consecutive rows whose widest activation
+fits a fixed byte budget, so its memory does not grow with the batch.  Each
+block has its own bound d, |x^ - x| <= d elementwise between a fast value x^
+and forward's x, from d = 0; the "batch" below is the block, whose M is at
+most the whole batch's, so its d is too.  Each layer enters the pass
+through its `_fast_apply`.  While d = 0 the pass holds forward's own values,
+so relu, maxpool2d, flatten and normalize run forward's ops there.
 `forward` checks every layer's output, but relu, maxpool2d and flatten make
 no new values, so at d = 0 only the first layer's output and each
 normalize's can be the first non-finite one, and the fast pass checks those
@@ -82,12 +86,15 @@ multiplied by 1 + (k + 11) 2**-52.  As g_a + g_b <= g_{a+b} <= (a + b) 2**-52:
   2**127, whatever the order.
 
 A layer that may not run, such as one whose M is infinite or NaN, sends the
-batch through `forward`, which raises as before.  A row keeps the fast
+whole batch through `forward`, which raises as before, naming the first bad
+layer over the whole batch: a block that runs has finite forward values, so
+the rows on which forward raises lie in a block that may not run.  A row keeps the fast
 argmax t only when y^_t - max_{j != t} y^_j > 2 d in float64: then
 y_t > y_j for every j != t, and forward's argmax is t.  Rounding is monotone
 and 2 d is a float64 number, so a rounded gap above 2 d is an exact one; a
 float32 gap could round up past a 2 d that float32 cannot hold.  Every
-other row, an exact tie among them, re-runs through `forward`.
+other row, an exact tie among them, re-runs through one `forward` call with
+the other blocks' such rows.
 """
 
 from __future__ import annotations
@@ -238,6 +245,12 @@ class Dense:
         acc += self.bias
         return acc
 
+    def _fast_apply(self, x):
+        """The fast pass's dense: one float64 gemm, then the bias."""
+        x = np.ascontiguousarray(x, np.float64) @ self.weight.T
+        x += self.bias
+        return x
+
 
 @dataclass(frozen=True)
 class Relu:
@@ -248,6 +261,8 @@ class Relu:
 
     def apply(self, x):
         return np.maximum(x, 0.0)
+
+    _fast_apply = apply  # the fast pass's entry: a wrapper set on apply does not reach it
 
 
 # bytes of one conv2d tile: the float64 kernel's accumulator, or the float32
@@ -419,6 +434,8 @@ class MaxPool2d:
                     np.maximum(out, patch, out=out)
         return out
 
+    _fast_apply = apply
+
 
 @dataclass(frozen=True)
 class Flatten:
@@ -429,6 +446,8 @@ class Flatten:
 
     def apply(self, x):
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also for 0 rows
+
+    _fast_apply = apply
 
 
 @dataclass(frozen=True)
@@ -460,8 +479,14 @@ class Normalize:
         in_shape = x.shape[1:]
         return (x - self._broadcast(self.mean, in_shape)) / self._broadcast(self.scale, in_shape)
 
+    _fast_apply = apply
+
 
 LayerSpec = Dense | Relu | Conv2d | MaxPool2d | Flatten | Normalize
+
+# bytes of the widest activation of one block of indicative's fast pass, in
+# float64: a larger batch runs as more blocks, not as larger arrays
+_FAST_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -487,14 +512,18 @@ class NetworkModel:
         vars(self).update(input_shape=tuple(map(int, shape)), num_labels=int(self.num_labels),
                           layers=tuple(self.layers))
         shape = self.input_shape
+        widest = math.prod(shape)
         for idx, layer in enumerate(self.layers):
             try:
                 shape = layer.out_shape(shape)
             except ShapeMismatchError as exc:
                 raise ShapeMismatchError(f"layer {idx} ({layer.kind}): {exc}") from None
+            widest = max(widest, math.prod(shape))
         if shape != (self.num_labels,):
             raise ShapeMismatchError(
                 f"network output shape {shape} does not match num_labels={self.num_labels}")
+        # rows of one fast-pass block: its widest activation fits the budget
+        vars(self)["_fast_rows"] = max(1, _FAST_BLOCK_BYTES // (8 * widest))
 
 
 def _as_rows(model: NetworkModel, batch) -> np.ndarray:
@@ -550,7 +579,7 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         if layer.kind not in ("dense", "conv2d"):
             if layer.kind == "normalize" and d:
                 return None
-            x = layer.apply(x)
+            x = layer._fast_apply(x)
             # outputs that forward checks, which at d = 0 are its own values
             if (idx == 0 or layer.kind == "normalize") and not np.isfinite(x).all():
                 return None
@@ -567,28 +596,31 @@ def _fast(model: NetworkModel, batch: np.ndarray):
         if not s < limit:
             return None
         d = (wsum * d + c * s + under * (1 + m)) * grow
-        if layer.kind == "conv2d":
-            x = layer._fast_apply(x)
-            continue
-        x = np.ascontiguousarray(x, np.float64) @ layer.weight.T
-        x += layer.bias
+        x = layer._fast_apply(x)
     return x, d
 
 
 def indicative(model: NetworkModel, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """mask[predicted label] per row: with a label_mask, 1 where the
     prediction lies in omega, else 0.  Equal to mask[predict(model, batch)],
-    by one fast pass and its error bound (module docstring)."""
+    by one fast pass and its error bound per block of rows (module
+    docstring), and one forward over the rows no block settles."""
     batch = _as_rows(model, batch)
+    labels = np.empty(len(batch), np.intp)
+    settled = np.empty(len(batch), bool)
+    rows = model._fast_rows
     with np.errstate(over="ignore", invalid="ignore"):
-        fast = _fast(model, batch)
-        if fast is None:  # forward raises, or its labels are the answer
-            return mask[predict(model, batch)]
-        y, d = fast
-        y = y.astype(np.float64, copy=False)  # the gap is taken in float64
-        top2 = np.partition(y, -2, axis=1)
-        labels = np.argmax(y, axis=1)
-        redo = np.flatnonzero(~(top2[:, -1] - top2[:, -2] > 2 * d))
+        for start in range(0, len(batch), rows):
+            block = slice(start, start + rows)
+            fast = _fast(model, batch[block])
+            if fast is None:  # forward raises, or its labels are the answer
+                return mask[predict(model, batch)]
+            y, d = fast
+            y = y.astype(np.float64, copy=False)  # the gap is taken in float64
+            top2 = np.partition(y, -2, axis=1)
+            labels[block] = np.argmax(y, axis=1)
+            settled[block] = top2[:, -1] - top2[:, -2] > 2 * d
+    redo = np.flatnonzero(~settled)
     if redo.size:
         labels[redo] = predict(model, batch[redo])
     return mask[labels]

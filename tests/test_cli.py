@@ -207,6 +207,17 @@ class TestDecide:
         assert rc == 2
         assert capsys.readouterr().err == "usage error: --timings needs --out\n"
 
+    @pytest.mark.parametrize("timings", [False, True], ids=["plain", "timings"])
+    def test_empty_out_is_usage_error(self, threshold_model_file, center_file, capsys,
+                                      timings):
+        # "" once meant no --out: the verdict was printed and no report written
+        rc = main(["decide", "--model", threshold_model_file, "--input", center_file,
+                   "--radius", "0.2", "--eps", "0.2", "--eps-prime", "0.1",
+                   *(["--timings"] if timings else []), "--out", ""])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "usage error: ewrobust decide: argument --out: need a non-empty path, got ''\n")
+
     # in [0, 1], a quarter of the samples have x0 > 0.5; in [0, 0.4], none
     @pytest.mark.parametrize("clamp,bounds,expect", [
         ("0,1", (0.0, 1.0), UNSAT), ("0,0.4", (0.0, 0.4), SAT)], ids=["0,1", "0,0.4"])

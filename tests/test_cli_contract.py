@@ -113,7 +113,7 @@ def values(f):
         "--labels": (f["labels"], f["marked_labels"], f["empty"], f["inputs"], f["missing"]),
         "--cnf": (f["cnf"], f["marked_cnf"], f["bad_cnf"], f["empty"], f["missing"],
                   f["model"]),
-        "--out": (f["out"], f["dir"]),
+        "--out": (f["out"], f["dir"], ""),
         "--shape": ("2", "1,2", "2,1", "3", "0", "-1", "x", ""),
         "--index": ("0", "3", "-1", "4", "x"),
         "--omega": ("0", "1", "0,1", "2", "-1", "x", ""),
@@ -279,6 +279,9 @@ USAGE_ERRORS = {
     "radii workers 0": ["radii", "--workers", "0"],
     "sample past 2**64": ["sample", "--start", str(2**64 - 1), "--count", "2"],
     "sample radius nan": ["sample", "--radius", "nan"],
+    # "" once meant no --out: a report to stdout, or none at all
+    **{f"{command} out empty": [command, "--out", ""]
+       for command in ("decide", "evaluate", "curve", "radii", "gadget", "sample")},
 }
 
 

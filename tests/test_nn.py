@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -948,9 +949,9 @@ class TestFastIndicative:
 
     def test_conv_prefix_runs_in_float32(self, rng, monkeypatch):
         # every array from the first conv to the first dense stays float32,
-        # also after a normalize, which runs in float64; each conv runs the
-        # fast pass's own entry, and its cast weights are made on the first
-        # fast call, not at load or by forward, and kept
+        # also after a normalize, which runs in float64; each layer runs the
+        # fast pass's own entry, and each conv's cast weights are made on the
+        # first fast call, not at load or by forward, and kept
         for lead in ((), (Normalize(np.array([0.5]), np.array([2.0])),)):
             layers = (*lead,
                       Conv2d(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3), (1, 1), (1, 1)),
@@ -966,13 +967,12 @@ class TestFastIndicative:
             convs = [layer for layer in model.layers if layer.kind == "conv2d"]
             assert not any("_float32_terms" in vars(conv) for conv in convs)
             seen = []
-            for cls, name in ((Conv2d, "_fast_apply"), (Relu, "apply"), (MaxPool2d, "apply"),
-                              (Flatten, "apply"), (Normalize, "apply")):
-                def spy(layer, x, apply=getattr(cls, name)):
+            for cls in (Conv2d, Relu, MaxPool2d, Flatten, Normalize):
+                def spy(layer, x, apply=cls._fast_apply):
                     out = apply(layer, x)
                     seen.append((layer.kind, x.dtype, out.dtype))
                     return out
-                monkeypatch.setattr(cls, name, spy)
+                monkeypatch.setattr(cls, "_fast_apply", spy)
             got = indicative(model, batch, mask)
             monkeypatch.undo()
             assert np.array_equal(got, mask[predict(model, batch)])
@@ -1159,6 +1159,149 @@ class TestFastIndicative:
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError, match=rf"after layer 0 \({first}\)"):
                 first_label_indicator(model, x)
+
+
+def _benchmark_shaped_models(rng) -> dict:
+    """Models of the benchmark's shapes and weight scales: an MLP
+    784-100-100-10, a CNN 1x28x28 (conv 1->8, conv 8->16, maxpool, dense)
+    and the toy CNN 1x8x8."""
+    def dense(n_in, n_out, scale):
+        return Dense(rng.normal(size=(n_out, n_in)) * scale, rng.normal(size=n_out) * 0.1)
+
+    def conv(c_in, c_out, scale):
+        return Conv2d(rng.normal(size=(c_out, c_in, 3, 3)) * scale,
+                      rng.normal(size=c_out) * 0.1, (1, 1), (0, 0))
+
+    mlp = (dense(784, 100, math.sqrt(2 / 784)), Relu(), dense(100, 100, math.sqrt(2 / 100)),
+           Relu(), dense(100, 10, math.sqrt(2 / 100)))
+    cnn = (conv(1, 8, math.sqrt(2 / 9)), Relu(), conv(8, 16, math.sqrt(2 / 72)), Relu(),
+           MaxPool2d((2, 2), (2, 2)), Flatten(), dense(2304, 10, math.sqrt(2 / 2304)))
+    toy = (conv(1, 2, 1.0), Relu(), MaxPool2d((2, 2), (2, 2)), Flatten(), dense(18, 10, 1.0))
+    return {"mlp": NetworkModel((784,), 10, mlp), "cnn": NetworkModel((1, 28, 28), 10, cnn),
+            "toy": NetworkModel((1, 8, 8), 10, toy)}
+
+
+class TestFastBlocks:
+    """indicative runs the fast pass over blocks of rows whose widest
+    activation fits nn._FAST_BLOCK_BYTES, each block with its own bound, and
+    sends the rows no block settles through one forward."""
+
+    @pytest.mark.parametrize("kind", ["dense", "dense-relu-dense", "conv", "conv-conv",
+                                      "headless"])
+    def test_near_ties_of_every_block_fall_back_in_one_forward(self, rng, monkeypatch, kind):
+        # blocks of 5 rows, 9 wide; the gap between labels 1 and 0 of row r is
+        # ratios[r] times 2 d of its own block, rounded away from 1
+        monkeypatch.setattr(nn, "_FAST_BLOCK_BYTES", 5 * 8 * 9)
+        conv = kind not in ("dense", "dense-relu-dense")
+        if conv:
+            model = _conv_near_tie_model(rng, 2 if kind == "conv-conv" else 1, kind != "headless")
+        else:
+            model = _near_tie_model(rng, kind == "dense-relu-dense")
+        assert model._fast_rows == 5
+        gain, grid, top = (2 ** 20, 2.0 ** -8, 2 ** 10) if conv else (1, 1.0, 2 ** 24)
+        ratios = np.tile([0.5, 0.98, 1.02, 1.5], 6)
+        signs = np.repeat([1, -1], 12)
+        batch = np.zeros((24,) + model.input_shape)
+        flat = batch.reshape(24, -1)  # z is column 8
+        flat[:, :8] = rng.integers(-top, top, size=(24, 8))
+        blocks = [slice(start, start + 5) for start in range(0, 24, 5)]
+        for block in blocks:
+            z = ratios[block] * float(_twice_the_bound(model, batch[block])) / gain / grid
+            z = np.where(ratios[block] < 1, np.floor(z), np.ceil(z))
+            flat[block, 8] = signs[block] * z * grid
+        for block in blocks:
+            limit = _twice_the_bound(model, batch[block])
+            for r in range(24)[block]:
+                got_ratio = Fraction(abs(flat[r, 8])) * gain / limit
+                assert abs(got_ratio - Fraction(ratios[r])) < Fraction(1, 100)
+                assert (got_ratio < 1) == (ratios[r] < 1)
+        mask = label_mask(model, {1})
+        fell_back = _spy_fallbacks(monkeypatch)
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[np.argmax(forward(model, batch), axis=1)])
+        assert np.array_equal(got, signs > 0)
+        # the rows inside their block's bound, from all five blocks, together
+        assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch[ratios < 1])
+
+    def test_row_beyond_float32_in_the_last_block_sends_the_batch_to_forward(
+            self, rng, monkeypatch):
+        # blocks of 8 rows: the toy CNN's widest activation is its conv's 2x6x6
+        monkeypatch.setattr(nn, "_FAST_BLOCK_BYTES", 8 * 8 * 72)
+        model = toy_conv_model(rng, num_labels=4)
+        assert model._fast_rows == 8
+        batch = rng.normal(size=(38,) + model.input_shape)
+        batch[-1] *= 1e39  # finite, but beyond float32's range
+        mask = label_mask(model, {0, 2})
+        fell_back = _spy_fallbacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[predict(model, batch)])
+        assert len(fell_back) == 1 and np.array_equal(fell_back[0], batch)
+
+    # rows of blocks of 3 that overflow after layer 0 or after layer 2
+    @pytest.mark.parametrize("bad,layer", [
+        ({4: 2, 10: 0}, 0),  # a later block fails at an earlier layer
+        ({1: 0, 7: 2}, 0),
+        ({10: 2}, 2),
+        ({2: 2, 5: 2}, 2)], ids=["2-then-0", "0-then-2", "2-last", "2-twice"])
+    def test_non_finite_rows_in_several_blocks_name_forwards_layer(self, rng, monkeypatch,
+                                                                   bad, layer):
+        monkeypatch.setattr(nn, "_FAST_BLOCK_BYTES", 3 * 8 * 2)
+        model = NetworkModel((2,), 2, (Dense(np.eye(2) * 1e200, np.zeros(2)), Relu(),
+                                       Dense(np.eye(2) * 1e100, np.zeros(2))))
+        assert model._fast_rows == 3
+        batch = rng.uniform(0.5, 1.0, size=(12, 2))
+        for row, at in bad.items():
+            batch[row] *= 1e110 if at == 0 else 1e10
+        with pytest.raises(NumericOverflowError) as exact:
+            forward(model, batch)
+        assert str(exact.value) == f"non-finite value after layer {layer} (dense)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as fast:
+                first_label_indicator(model, batch)
+        assert str(fast.value) == str(exact.value)
+
+    def test_fast_pass_memory_does_not_grow_with_the_batch(self, rng):
+        # 1,024 rows of the benchmark's CNN: one pass over the whole batch
+        # traced 72 MiB, its conv 8->16 alone 1,024 x 9,216 float32 values
+        model = _benchmark_shaped_models(rng)["cnn"]
+        batch = rng.uniform(0.0, 1.0, size=(1024,) + model.input_shape)
+        mask = label_mask(model, {0, 3})
+        tracemalloc.start()
+        try:
+            got = indicative(model, batch, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20, peak
+        assert np.array_equal(got, mask[predict(model, batch)])
+
+    @pytest.mark.parametrize("name,rows,calls", [
+        ("mlp", 256, 1), ("toy", 256, 1), ("cnn", 32, 1), ("cnn", 256, 5)])
+    def test_benchmark_batches_run_as_blocks(self, rng, monkeypatch, name, rows, calls):
+        # the MLP's and the toy's batches and the CNN's first batch of 32 rows
+        # run as one block; the CNN's batches of 256 as blocks of 56 rows
+        model = _benchmark_shaped_models(rng)[name]
+        assert (model._fast_rows >= rows) == (calls == 1)
+        blocks = []
+        whole = nn._fast
+
+        def spy(model, batch):
+            blocks.append(len(batch))
+            return whole(model, batch)
+
+        monkeypatch.setattr(nn, "_fast", spy)
+        batch = rng.uniform(0.0, 1.0, size=(rows,) + model.input_shape)
+        mask = label_mask(model, {1})
+        got = indicative(model, batch, mask)
+        monkeypatch.undo()
+        assert np.array_equal(got, mask[predict(model, batch)])
+        assert len(blocks) == calls and sum(blocks) == rows
+        assert len(set(blocks[:-1])) <= 1 and blocks[-1] <= blocks[0]
 
 
 W2 = np.eye(2)
